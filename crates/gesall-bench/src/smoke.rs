@@ -607,7 +607,7 @@ fn shuffle_codec_probe() -> Result<ShuffleCodecProbe, String> {
             compress_min_bytes: 1,
             retry_backoff_ms: 1.0,
             speculative: false,
-            shuffle_codec: Some(codec),
+            shuffle_codec: codec,
             ..JobConfig::default()
         };
         engine
@@ -793,6 +793,14 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         .get(gesall_mapreduce::counters::keys::SHUFFLE_SEGMENTS_COMPRESSED)
         .copied()
         .unwrap_or(0);
+    let codec_encode_nanos = agg
+        .get(gesall_mapreduce::counters::keys::SHUFFLE_CODEC_ENCODE_NANOS)
+        .copied()
+        .unwrap_or(0);
+    let map_merge_nanos = agg
+        .get(gesall_telemetry::Phase::MapMerge.counter_key())
+        .copied()
+        .unwrap_or(0);
     let map_wave_ms: f64 = recorder
         .spans_of_kind(SpanKind::Wave)
         .iter()
@@ -925,6 +933,10 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
             seg_compressed.to_string(),
         ),
         ("shuffle_dfs_bytes".into(), shuffle_dfs_bytes.to_string()),
+        (
+            "shuffle_codec_encode_nanos".into(),
+            codec_encode_nanos.to_string(),
+        ),
         (
             "reduce_peak_resident_bytes".into(),
             reduce_peak_resident.to_string(),
@@ -1264,6 +1276,11 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
          runs vs {peak_2n} B @ 16 runs, fan-in 4)\n"
     ));
     text.push_str(&format!(
+        "Shuffle codec: codec encode {:.1} ms of {:.1} ms map-merge\n",
+        codec_encode_nanos as f64 / 1e6,
+        map_merge_nanos as f64 / 1e6
+    ));
+    text.push_str(&format!(
         "Gray failures: {} corrupt blocks detected / {} repaired, {} reads \
          hedged, {} retried; faulty twin {:.1} ms vs {:.1} ms clean\n",
         gray.detected, gray.repaired, gray.hedged, gray.retried, gray.faulty_ms, gray.clean_ms
@@ -1394,6 +1411,10 @@ mod tests {
         );
         assert!(field("reduce_peak_resident_bytes") > 0);
         assert!(outcome.report.contains("Shuffle transit"));
+        // Compressed partitions were encoded, and the codec's share of
+        // map-merge is printed.
+        assert!(field("shuffle_codec_encode_nanos") > 0);
+        assert!(outcome.report.contains("codec encode"));
         // Gray-failure probe: the seeded faults fired and were survived.
         assert!(
             field("dfs_reads_hedged") > 0,

@@ -212,12 +212,6 @@ pub struct PlatformConfig {
     /// With replication > 1 this also turns node-loss map re-runs into
     /// replica re-fetches.
     pub shuffle_via_dfs: bool,
-    /// Force every MR job's compressed map-output partitions onto one
-    /// codec. `None` (the default) lets each job pick per key-type via
-    /// [`Wire::codec_hint`](gesall_formats::wire::Wire::codec_hint) —
-    /// alignment-record rounds get the genomic `Seq` codec, everything
-    /// else LZ. Benchmarks pin it for twin runs.
-    pub shuffle_codec: Option<gesall_formats::Codec>,
     /// Hand reducers their exec node as a DFS replica-selection
     /// affinity, so shuffle fetches prefer the co-located replica of a
     /// pinned map output. Off is the locality twin's baseline.
@@ -247,7 +241,6 @@ impl Default for PlatformConfig {
             async_spill: true,
             kernels: true,
             shuffle_via_dfs: true,
-            shuffle_codec: None,
             shuffle_locality: true,
             seed: 0x6765_7361_6c6c_0001,
             read_group: ReadGroup::new("rg1", "sample1"),
@@ -442,7 +435,6 @@ impl GesallPlatform {
             async_spill: self.config.async_spill,
             radix_sort: self.config.kernels,
             shuffle_via_dfs: self.config.shuffle_via_dfs,
-            shuffle_codec: self.config.shuffle_codec,
             shuffle_locality: self.config.shuffle_locality,
             parent_span: parent,
             slot_lease: opts.slot_lease.clone(),

@@ -115,6 +115,13 @@ pub mod keys {
     /// Map-output segments that travelled the shuffle compressed (shipped
     /// by reference, decoded once at the reduce-side merge).
     pub const SHUFFLE_SEGMENTS_COMPRESSED: &str = "shuffle.segments.compressed";
+    /// Nanoseconds map tasks spent in the shuffle codec compressing
+    /// partitions — a sub-interval of `phase.map-merge.nanos`.
+    pub const SHUFFLE_CODEC_ENCODE_NANOS: &str = "shuffle.codec.encode.nanos";
+    /// Nanoseconds reducers spent in the shuffle codec decompressing
+    /// segments as the merge activates them — a sub-interval of
+    /// `phase.shuffle.nanos`, where the deferred decode is charged.
+    pub const SHUFFLE_CODEC_DECODE_NANOS: &str = "shuffle.codec.decode.nanos";
     /// Scheduler worker-loop iterations triggered by a condvar
     /// notification (work actually arrived or state changed).
     pub const SCHED_WAKEUPS: &str = "sched.wakeups";

@@ -20,7 +20,6 @@ use crate::shuffle::{reduce_merge_streamed, Segment, SortSpillBuffer, COMPRESS_M
 use crate::spillpool::SpillPool;
 use crate::task::{MapContext, Mapper, Partitioner, ReduceContext, Reducer};
 use gesall_dfs::{Dfs, PinnedPlacement, ReadAffinity, SweepReason};
-use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
 use gesall_telemetry::{Phase, Recorder, Span, SpanId, SpanKind};
 use parking_lot::{Condvar, Mutex};
@@ -136,12 +135,11 @@ pub struct JobConfig {
     /// `/{name}/shuffle-{run}/…`. The job service sets `/{tenant}/{job}`
     /// here so every tenant's transit sits under one sweepable prefix.
     pub shuffle_namespace: Option<String>,
-    /// Codec compressed map-output partitions travel under. `None` (the
-    /// default) defers to the key-type's
-    /// [`Wire::codec_hint`](gesall_formats::wire::Wire::codec_hint)
-    /// (value type first, then key type), falling back to [`Codec::Lz`];
-    /// benchmarks set it to force twin runs onto a specific codec.
-    pub shuffle_codec: Option<Codec>,
+    /// Codec compressed map-output partitions travel under, for every
+    /// key and value type. [`Codec::Lz`] (the default) is the fastest
+    /// compressed codec; benchmarks and tests force `Seq` or `Raw` here
+    /// for twin runs.
+    pub shuffle_codec: Codec,
     /// Pass the reducer's exec node to the DFS as a replica-selection
     /// affinity so shuffle fetches prefer the co-located replica (map
     /// outputs are pinned to their mapper's node, so with replication
@@ -181,7 +179,7 @@ impl Default for JobConfig {
             parent_span: SpanId::NONE,
             slot_lease: None,
             shuffle_namespace: None,
-            shuffle_codec: None,
+            shuffle_codec: Codec::Lz,
             shuffle_locality: true,
             shuffle_prefetch: 2,
         }
@@ -519,15 +517,6 @@ impl MapReduceEngine {
             None => None,
         };
 
-        // Which codec compressed map-output partitions travel under:
-        // the job override wins, else the key-type's hint (value type
-        // first — it dominates the bytes), else the LZ default.
-        let shuffle_codec = config.shuffle_codec.unwrap_or_else(|| {
-            <M::OutValue as Wire>::codec_hint()
-                .or_else(<M::OutKey as Wire>::codec_hint)
-                .unwrap_or(Codec::Lz)
-        });
-
         let map_wave = self.run_wave(
             TaskKind::Map,
             &config,
@@ -550,7 +539,7 @@ impl MapReduceEngine {
                     bag.clone(),
                 )
                 .with_min_compress_bytes(config.compress_min_bytes)
-                .with_codec(shuffle_codec)
+                .with_codec(config.shuffle_codec)
                 .with_radix(config.radix_sort);
                 if let Some(pool) = &pool {
                     buf = buf.with_pool(pool.clone());

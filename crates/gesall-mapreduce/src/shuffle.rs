@@ -43,9 +43,8 @@ pub const SPILL_ARENA_MAX_FREE: usize = 8;
 
 /// How a job picks the codec for each map-output partition: compression
 /// on/off, the minimum payload size worth compressing, and which
-/// registered codec compressed payloads travel under (per key-type —
-/// genomic record streams hint [`Codec::Seq`] via
-/// [`Wire::codec_hint`], everything else defaults to LZ).
+/// registered codec compressed payloads travel under (LZ unless the job
+/// forces another).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodecPolicy {
     /// Compress at all?
@@ -662,7 +661,7 @@ where
     }
 
     /// Use `codec` for qualifying partitions instead of the LZ default
-    /// (the per-key-type [`Wire::codec_hint`] or the job override).
+    /// (the job's `shuffle_codec`).
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.policy = self.policy.with_codec(codec);
         self
@@ -794,7 +793,12 @@ where
                     k.encode(&mut scratch);
                     v.encode(&mut scratch);
                 }
+                let t_enc = Instant::now();
                 codec.encode_append(&scratch, &mut backing);
+                self.counters.add(
+                    keys::SHUFFLE_CODEC_ENCODE_NANOS,
+                    t_enc.elapsed().as_nanos() as u64,
+                );
                 arena.release(scratch);
                 // Raw encode into scratch + the compressor's write.
                 let copied = raw_len + (backing.len() - start);
@@ -882,15 +886,17 @@ struct RunCursor<K, V> {
 }
 
 impl<K: Wire + Ord + Clone, V: Wire> RunCursor<K, V> {
-    /// Activate a run for merging. An Lz source decompresses once into
-    /// an owned scratch (the one materialization, charged on `gauge`
-    /// and timed as shuffle work — it is the deferred half of the
-    /// fetch-and-decode the old path did eagerly); raw sources and
+    /// Activate a run for merging. A compressed source decompresses once
+    /// into an owned scratch (the one materialization, charged on
+    /// `gauge` and timed as shuffle work and under
+    /// [`keys::SHUFFLE_CODEC_DECODE_NANOS`] — it is the deferred half of
+    /// the fetch-and-decode the old path did eagerly); raw sources and
     /// rewritten runs decode in place.
     fn activate(
         run: StreamRun,
         gauge: &mut ResidentGauge,
         shuffle_nanos: &mut u64,
+        counters: &Counters,
     ) -> RunCursor<K, V> {
         match run {
             StreamRun::Pending(seg) => {
@@ -898,7 +904,9 @@ impl<K: Wire + Ord + Clone, V: Wire> RunCursor<K, V> {
                 let buf = if seg.is_compressed() {
                     let t0 = Instant::now();
                     let raw = seg.codec.decode(&seg.data).expect("segment payload corrupt");
-                    *shuffle_nanos += t0.elapsed().as_nanos() as u64;
+                    let decode_nanos = t0.elapsed().as_nanos() as u64;
+                    *shuffle_nanos += decode_nanos;
+                    counters.add(keys::SHUFFLE_CODEC_DECODE_NANOS, decode_nanos);
                     let charged = raw.len() as u64;
                     gauge.charge(charged);
                     RunBuf::Owned { buf: raw, charged }
@@ -1115,7 +1123,7 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
                 } else {
                     rewritten.pop_front().unwrap()
                 };
-                RunCursor::activate(run, &mut gauge, &mut shuffle_nanos)
+                RunCursor::activate(run, &mut gauge, &mut shuffle_nanos, counters)
             })
             .collect();
         let mut out = arena.acquire(0);
@@ -1139,7 +1147,7 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
             } else {
                 rewritten.pop_front().unwrap()
             };
-            RunCursor::activate(run, &mut gauge, &mut shuffle_nanos)
+            RunCursor::activate(run, &mut gauge, &mut shuffle_nanos, counters)
         })
         .collect();
     let mut out: Vec<(K, Vec<V>)> = Vec::new();

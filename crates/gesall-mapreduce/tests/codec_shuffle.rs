@@ -5,7 +5,6 @@
 
 use gesall_dfs::{Dfs, DfsConfig};
 use gesall_formats::sam::SamRecord;
-use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
 use gesall_mapreduce::counters::keys;
 use gesall_mapreduce::{
@@ -66,7 +65,18 @@ fn sam_splits(n_splits: usize, per_split: usize) -> Vec<InputSplit<u64, SamRecor
         .collect()
 }
 
-fn run_with(codec: Codec) -> JobResult<u64, SamRecord> {
+/// The twin runs' shared job shape; `shuffle_codec` left at its default.
+fn twin_config() -> JobConfig {
+    JobConfig {
+        n_reducers: 3,
+        io_sort_bytes: 64 * 1024,
+        compress_min_bytes: 1,
+        speculative: false,
+        ..JobConfig::default()
+    }
+}
+
+fn run_job(cfg: JobConfig) -> JobResult<u64, SamRecord> {
     let dfs = Dfs::new(DfsConfig {
         n_nodes: 3,
         block_size: 64 * 1024,
@@ -74,18 +84,17 @@ fn run_with(codec: Codec) -> JobResult<u64, SamRecord> {
         ..DfsConfig::default()
     });
     let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_shuffle_dfs(dfs);
-    let cfg = JobConfig {
-        name: format!("codec-twin-{}", codec.name()),
-        n_reducers: 3,
-        io_sort_bytes: 64 * 1024,
-        compress_min_bytes: 1,
-        shuffle_codec: Some(codec),
-        speculative: false,
-        ..JobConfig::default()
-    };
     engine
         .run_job(cfg, &Route, &Collect, &HashPartitioner, sam_splits(4, 120))
         .expect("codec twin job must succeed")
+}
+
+fn run_with(codec: Codec) -> JobResult<u64, SamRecord> {
+    run_job(JobConfig {
+        name: format!("codec-twin-{}", codec.name()),
+        shuffle_codec: codec,
+        ..twin_config()
+    })
 }
 
 #[test]
@@ -134,41 +143,17 @@ fn reduce_output_is_identical_across_every_shuffle_codec() {
 }
 
 #[test]
-fn sam_records_hint_the_seq_codec_by_default() {
-    // No job override: the value type's codec hint decides, so
-    // alignment-record shuffles pick up the domain codec without any
-    // configuration.
-    assert_eq!(<SamRecord as Wire>::codec_hint(), Some(Codec::Seq));
-    let dfs = Dfs::new(DfsConfig {
-        n_nodes: 2,
-        block_size: 64 * 1024,
-        replication: 1,
-        ..DfsConfig::default()
-    });
-    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
-    let cfg = JobConfig {
-        name: "codec-hint".into(),
-        n_reducers: 2,
-        compress_min_bytes: 1,
-        speculative: false,
-        ..JobConfig::default()
-    };
-    let hinted = engine
-        .run_job(cfg, &Route, &Collect, &HashPartitioner, sam_splits(2, 80))
-        .expect("hinted job must succeed");
-    let forced = run_with(Codec::Seq);
-    // Same record set, so the hinted run compresses like the forced-Seq
-    // run does (both well under what raw shipping costs per record).
-    assert!(hinted.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
-    let per_rec = |r: &JobResult<u64, SamRecord>| {
-        r.counters.get(keys::SHUFFLE_BYTES_DFS) as f64
-            / r.counters.get(keys::SHUFFLE_RECORDS).max(1) as f64
-    };
-    let diff = (per_rec(&hinted) - per_rec(&forced)).abs();
-    assert!(
-        diff < 20.0,
-        "hinted ({:.1} B/rec) should compress like forced Seq ({:.1} B/rec)",
-        per_rec(&hinted),
-        per_rec(&forced)
+fn sam_shuffles_ship_lz_by_default() {
+    // No codec forced: alignment-record shuffles compress under Lz like
+    // every other key/value type, so the default run ships exactly the
+    // forced-Lz twin's wire bytes.
+    let default = run_job(twin_config());
+    let forced = run_with(Codec::Lz);
+    assert_eq!(default.outputs, forced.outputs);
+    assert!(default.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
+    assert_eq!(
+        default.counters.get(keys::SHUFFLE_BYTES_DFS),
+        forced.counters.get(keys::SHUFFLE_BYTES_DFS),
+        "a default-config SamRecord shuffle must ship the forced-Lz twin's bytes"
     );
 }

@@ -20,6 +20,15 @@ bench-smoke:
 bench-micro:
     cargo run --release --offline -p gesall-microbench -- .
 
+# The BENCHMARK.json benchmark: every workload once at `seed`, 20 s
+# each. The last stdout line of each run is its JSON result; per-run
+# progress goes to stderr.
+bench-perf seed:
+    for w in cold-hc rerun-ug tenants-2; do \
+        cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload $w --seed {{seed}} --seconds 20 --trace 0; \
+    done
+
 # Fast inner-loop check.
 check:
     cargo check --offline --workspace --all-targets
