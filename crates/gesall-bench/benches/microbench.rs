@@ -18,7 +18,9 @@ use gesall_formats::wire::Wire;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::shuffle::{reduce_merge, Segment, SortSpillBuffer};
 use gesall_mapreduce::task::HashPartitioner;
+use gesall_mapreduce::SpillPool;
 use gesall_tools::pileup::{Pileup, PileupFilter};
+use std::sync::Arc;
 
 fn pseudo_dna(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed;
@@ -137,12 +139,13 @@ fn bench_sam_wire(c: &mut Criterion) {
 fn bench_shuffle(c: &mut Criterion) {
     let mut g = c.benchmark_group("shuffle");
     g.sample_size(20);
+    let pool = Arc::new(SpillPool::new(2, 4));
     g.bench_function("sort_spill_merge_20k", |b| {
         b.iter(|| {
             let counters = Counters::new();
             let p = HashPartitioner;
             let mut buf: SortSpillBuffer<'_, u64, u64> =
-                SortSpillBuffer::new(64 * 1024, 4, &p, true, counters);
+                SortSpillBuffer::new(64 * 1024, 4, &p, true, pool.clone(), counters);
             for i in 0..20_000u64 {
                 buf.emit(i % 977, i);
             }

@@ -417,14 +417,14 @@ struct ShuffleLocalityProbe {
     prefetched: u64,
 }
 
-/// Run the same small job twice on twin 2-node replication-2 transit
-/// DFSes — once with the reducer's exec node threaded into the fetch
-/// path as a read-affinity hint (the default), once with the hint
-/// switched off — and require byte-identical reduce output. Pinned
+/// Run a small job on a 2-node replication-2 transit DFS, where every
+/// reducer hints its exec node as the fetch's read affinity. Pinned
 /// shuffle placement plus full replication puts a copy of every segment
-/// block on the reducer's node, so the hinted run must serve most fetch
-/// bytes from the co-located replica.
-fn shuffle_locality_probe() -> Result<ShuffleLocalityProbe, String> {
+/// block on the reducer's node, so the run must serve most fetch bytes
+/// from the co-located replica. That the hint changes only which replica
+/// serves, never the bytes, is the DFS proptest
+/// `range_reads_are_affinity_invariant`.
+fn fetch_locality_probe() -> Result<ShuffleLocalityProbe, String> {
     use gesall_mapreduce::counters::keys;
     use gesall_mapreduce::{
         HashPartitioner, InputSplit, JobConfig, MapContext, Mapper, ReduceContext, Reducer,
@@ -460,43 +460,24 @@ fn shuffle_locality_probe() -> Result<ShuffleLocalityProbe, String> {
             })
             .collect()
     };
-    let cfg = |locality: bool| JobConfig {
+    let cfg = JobConfig {
         name: "locality-probe".into(),
         n_reducers: 2,
         io_sort_bytes: 2048,
         retry_backoff_ms: 1.0,
         speculative: false,
-        shuffle_locality: locality,
         ..JobConfig::default()
     };
-    let run = |locality: bool| {
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 2,
-            block_size: 1 << 20,
-            replication: 2,
-            ..DfsConfig::default()
-        });
-        let engine =
-            MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
-        engine
-            .run_job(cfg(locality), &ModKey, &Sum, &HashPartitioner, splits())
-            .map_err(|e| format!("shuffle-locality probe: run failed: {e}"))
-    };
-    let hinted = run(true)?;
-    let blind = run(false)?;
-
-    let sorted = |res: &gesall_mapreduce::JobResult<u64, u64>| -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = res.outputs.iter().flatten().cloned().collect();
-        all.sort_unstable();
-        all
-    };
-    if sorted(&hinted) != sorted(&blind) {
-        return Err(
-            "shuffle-locality gate: affinity-hinted run's reduce output differs from the \
-             no-affinity twin — replica selection changed bytes, not just placement"
-                .into(),
-        );
-    }
+    let dfs = Dfs::new(DfsConfig {
+        n_nodes: 2,
+        block_size: 1 << 20,
+        replication: 2,
+        ..DfsConfig::default()
+    });
+    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
+    let hinted = engine
+        .run_job(cfg, &ModKey, &Sum, &HashPartitioner, splits())
+        .map_err(|e| format!("shuffle-locality probe: run failed: {e}"))?;
     Ok(ShuffleLocalityProbe {
         local_bytes: hinted.counters.get(keys::SHUFFLE_FETCH_BYTES_LOCAL),
         remote_bytes: hinted.counters.get(keys::SHUFFLE_FETCH_BYTES_REMOTE),
@@ -813,15 +794,10 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         0.0
     };
 
-    // DFS-transit shuffle accounting: with `shuffle_via_dfs` on (the
-    // default) every shuffled byte must travel through the DFS and none
-    // as an in-memory segment handoff.
+    // DFS-transit shuffle accounting: every shuffled byte travels
+    // through a DFS (here the platform's, attached as the transit).
     let shuffle_dfs_bytes = agg
         .get(gesall_mapreduce::counters::keys::SHUFFLE_BYTES_DFS)
-        .copied()
-        .unwrap_or(0);
-    let shuffle_memory_bytes = agg
-        .get(gesall_mapreduce::counters::keys::SHUFFLE_BYTES_MEMORY)
         .copied()
         .unwrap_or(0);
     let reduce_peak_resident = agg
@@ -838,10 +814,10 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     // Job-service probe: the same two jobs serial vs concurrent under
     // two tenants, with a forced elastic borrow + reclaim in between.
     let jobsvc = jobsvc_probe()?;
-    // Shuffle-locality probe: affinity-hinted vs hint-off twins on a
-    // pinned replication-2 topology where every segment has a
-    // co-located replica.
-    let locality = shuffle_locality_probe()?;
+    // Shuffle-locality probe: affinity-hinted fetches on a pinned
+    // replication-2 topology where every segment has a co-located
+    // replica.
+    let locality = fetch_locality_probe()?;
     // Shuffle-codec probe: the genomic Seq codec vs the Lz baseline on
     // the same simulated-read shuffle.
     let codec = shuffle_codec_probe()?;
@@ -1075,21 +1051,14 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
              spills are running synchronously on the map thread"
         ));
     }
-    // DFS-transit gate: shuffle_via_dfs defaults on and the platform
-    // attaches its DFS, so every shuffled byte must have traveled
-    // through the DFS with zero in-memory segment handoffs.
+    // DFS-transit gate: every shuffle ships through a DFS, so the
+    // pipeline's shuffle bytes must show up on the DFS fetch counter.
     if shuffle_dfs_bytes == 0 {
         return Err(
             "dfs-transit gate: no shuffle bytes traveled through the DFS — \
              the transit path is not wired"
                 .into(),
         );
-    }
-    if shuffle_memory_bytes > 0 {
-        return Err(format!(
-            "dfs-transit gate: {shuffle_memory_bytes} shuffle bytes were handed \
-             over in memory despite shuffle_via_dfs being on"
-        ));
     }
     // Peak-resident flatness gate: the streaming reduce merge's memory
     // bound is merge_factor × run size, so doubling the run count at a
@@ -1270,10 +1239,9 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         pool_busy_nanos as f64 / 1e6
     ));
     text.push_str(&format!(
-        "Shuffle transit: {shuffle_dfs_bytes} wire bytes through the DFS, \
-         {shuffle_memory_bytes} in-memory handoffs; reduce merge peaked at \
-         {reduce_peak_resident} resident bytes (flatness probe: {peak_n} B @ 8 \
-         runs vs {peak_2n} B @ 16 runs, fan-in 4)\n"
+        "Shuffle transit: {shuffle_dfs_bytes} wire bytes through the DFS; reduce \
+         merge peaked at {reduce_peak_resident} resident bytes (flatness probe: \
+         {peak_n} B @ 8 runs vs {peak_2n} B @ 16 runs, fan-in 4)\n"
     ));
     text.push_str(&format!(
         "Shuffle codec: codec encode {:.1} ms of {:.1} ms map-merge\n",

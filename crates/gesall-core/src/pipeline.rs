@@ -196,9 +196,6 @@ pub struct PlatformConfig {
     pub compress_map_output: bool,
     /// Smallest raw partition payload worth compressing.
     pub compress_min_bytes: usize,
-    /// Overlap spill sorting with the map loop via the engine's
-    /// background encoder pool (byte-identical output either way).
-    pub async_spill: bool,
     /// Enable the bit-parallel map-phase kernels (DESIGN.md §5) in the
     /// MR jobs this platform launches — today that is the radix spill
     /// sort. Off is the scalar-twin benchmark configuration; results
@@ -206,16 +203,6 @@ pub struct PlatformConfig {
     /// rank, banded SW) live on the `Aligner` the caller passes in —
     /// flip them with [`gesall_aligner::Aligner::set_kernels`].
     pub kernels: bool,
-    /// Ship map outputs through the DFS (one indexed file per map task,
-    /// pinned to the mapper's node) and let reducers range-read their
-    /// partitions, instead of handing in-memory segment references.
-    /// With replication > 1 this also turns node-loss map re-runs into
-    /// replica re-fetches.
-    pub shuffle_via_dfs: bool,
-    /// Hand reducers their exec node as a DFS replica-selection
-    /// affinity, so shuffle fetches prefer the co-located replica of a
-    /// pinned map output. Off is the locality twin's baseline.
-    pub shuffle_locality: bool,
     pub seed: u64,
     pub read_group: ReadGroup,
     pub hc: HaplotypeCallerConfig,
@@ -238,10 +225,7 @@ impl Default for PlatformConfig {
             merge_factor: 10,
             compress_map_output: true,
             compress_min_bytes: gesall_mapreduce::shuffle::COMPRESS_MIN_BYTES,
-            async_spill: true,
             kernels: true,
-            shuffle_via_dfs: true,
-            shuffle_locality: true,
             seed: 0x6765_7361_6c6c_0001,
             read_group: ReadGroup::new("rg1", "sample1"),
             hc: HaplotypeCallerConfig::default(),
@@ -384,9 +368,9 @@ pub struct GesallPlatform {
 
 impl GesallPlatform {
     pub fn new(dfs: Dfs, engine: MapReduceEngine, config: PlatformConfig) -> GesallPlatform {
-        // The platform's DFS doubles as the shuffle transit store for
-        // jobs with `shuffle_via_dfs` on (the per-job flag comes from
-        // `PlatformConfig` in `job_config`).
+        // The platform's DFS doubles as the shuffle transit store: map
+        // outputs are pinned to their mapper's node and reducers
+        // range-read their partitions, preferring the co-located replica.
         engine.set_shuffle_dfs(dfs.clone());
         // Crash sweep: shuffle-transit files are deleted by the engine
         // when a job finishes, so any still present at platform startup
@@ -432,10 +416,7 @@ impl GesallPlatform {
             merge_factor: self.config.merge_factor,
             compress_map_output: self.config.compress_map_output,
             compress_min_bytes: self.config.compress_min_bytes,
-            async_spill: self.config.async_spill,
             radix_sort: self.config.kernels,
-            shuffle_via_dfs: self.config.shuffle_via_dfs,
-            shuffle_locality: self.config.shuffle_locality,
             parent_span: parent,
             slot_lease: opts.slot_lease.clone(),
             shuffle_namespace: opts.namespace.clone(),

@@ -1,8 +1,9 @@
 //! Property-based tests of the DFS: files round-trip under any block
-//! size, placement policies keep their promises, and verify-on-read
-//! integrity holds under arbitrary corruption.
+//! size, placement policies keep their promises, verify-on-read
+//! integrity holds under arbitrary corruption, and a read-affinity hint
+//! changes only which replica serves a range, never its bytes.
 
-use gesall_dfs::{metrics_keys, Dfs, DfsConfig, LogicalPartitionPlacement};
+use gesall_dfs::{metrics_keys, Dfs, DfsConfig, LogicalPartitionPlacement, ReadAffinity};
 use proptest::prelude::*;
 
 proptest! {
@@ -95,5 +96,37 @@ proptest! {
         // And the namespace is back at full replication.
         let info = dfs.stat("/f").unwrap();
         prop_assert!(info.blocks.iter().all(|b| b.nodes.len() == 2));
+    }
+
+    /// The shuffle's locality hint is placement-only: for any file,
+    /// replication and range, a read hinted at any node returns exactly
+    /// the unhinted read's bytes. Only the local/remote split may
+    /// differ, and it always accounts for the whole range.
+    #[test]
+    fn range_reads_are_affinity_invariant(
+        data in proptest::collection::vec(any::<u8>(), 1..8_000),
+        block_size in 64usize..1024,
+        n_nodes in 1usize..5,
+        replication in 1usize..4,
+        ranges in proptest::collection::vec((0u32..1000, 0u32..1000), 1..6),
+    ) {
+        let dfs = Dfs::new(DfsConfig { n_nodes, block_size, replication, ..DfsConfig::default() });
+        dfs.write_file("/f", &data).unwrap();
+        let pick = |frac: u32, n: usize| (frac as usize * n / 1000).min(n - 1);
+        for (off_frac, len_frac) in ranges {
+            let offset = pick(off_frac, data.len() + 1).min(data.len());
+            let len = pick(len_frac, data.len() - offset + 1);
+            let blind = dfs.read_file_range_shared_at("/f", offset, len, ReadAffinity::NONE).unwrap();
+            prop_assert_eq!(blind.bytes.as_slice(), &data[offset..offset + len]);
+            prop_assert_eq!(blind.local_bytes, 0);
+            prop_assert_eq!(blind.remote_bytes, len as u64);
+            for node in 0..n_nodes {
+                let hinted = dfs
+                    .read_file_range_shared_at("/f", offset, len, ReadAffinity::node(node))
+                    .unwrap();
+                prop_assert_eq!(hinted.bytes.as_slice(), blind.bytes.as_slice());
+                prop_assert_eq!(hinted.local_bytes + hinted.remote_bytes, len as u64);
+            }
+        }
     }
 }

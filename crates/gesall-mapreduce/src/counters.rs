@@ -71,13 +71,9 @@ pub mod keys {
     /// submit-wait pressure (autoscaling events).
     pub const SPILL_POOL_WORKERS_GROWN: &str = "spill.pool.workers.grown";
     /// Shuffle wire bytes a reducer fetched out of a DFS-transit map
-    /// output (frames sliced from stored blocks). Disjoint from
-    /// [`SHUFFLE_BYTES_MEMORY`]: with `shuffle_via_dfs` on, every
-    /// shuffled byte should land here and the memory key should stay 0.
+    /// output (frames sliced from stored blocks). Every shuffle ships
+    /// through the DFS, so every shuffled byte lands here.
     pub const SHUFFLE_BYTES_DFS: &str = "shuffle.bytes.dfs";
-    /// Shuffle wire bytes handed to a reducer as an in-memory refcount
-    /// bump (the pre-DFS path, kept for `shuffle_via_dfs = false`).
-    pub const SHUFFLE_BYTES_MEMORY: &str = "shuffle.bytes.memory";
     /// Payload bytes memcpy'd while assembling a map output's transit
     /// file for the DFS (the one deliberate durability copy of the
     /// DFS-transit shuffle). Tracked apart from [`BYTES_COPIED`] so the

@@ -19,7 +19,7 @@ use crate::shipping;
 use crate::shuffle::{reduce_merge_streamed, Segment, SortSpillBuffer, COMPRESS_MIN_BYTES};
 use crate::spillpool::SpillPool;
 use crate::task::{MapContext, Mapper, Partitioner, ReduceContext, Reducer};
-use gesall_dfs::{Dfs, PinnedPlacement, ReadAffinity, SweepReason};
+use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::Codec;
 use gesall_telemetry::{Phase, Recorder, Span, SpanId, SpanKind};
 use parking_lot::{Condvar, Mutex};
@@ -37,17 +37,18 @@ type TaskOutputs<K, V> = Vec<Mutex<Option<Vec<(K, V)>>>>;
 /// from replicas instead of the engine re-running the map.
 type SurvivalCheck<'a> = Option<&'a (dyn Fn(usize) -> bool + Sync)>;
 
-/// Where a committed map task's shuffle output lives.
-enum MapOutput {
-    /// In-memory segments handed to reducers as refcount bumps — the
-    /// pre-DFS path, kept for `shuffle_via_dfs = false` and engines
-    /// without an attached DFS.
-    Memory(Vec<Segment>),
-    /// Persisted to the DFS as one indexed file pinned to the mapper's
-    /// node; each reducer range-reads its partition's frame. `metas`
-    /// keeps the per-partition shape for shuffle-matrix recording
-    /// without touching the file again.
-    Dfs { path: String, metas: Vec<SegMeta> },
+/// How many map-output partition fetches may run ahead of the reduce
+/// merge (the bounded prefetch pipeline): the fetch of segment *n+1*
+/// always overlaps the merge draining segment *n*.
+const SHUFFLE_PREFETCH_DEPTH: usize = 2;
+
+/// A committed map task's shuffle output: one indexed file on the
+/// transit DFS, pinned to the mapper's node; each reducer range-reads
+/// its partition's frame. `metas` keeps the per-partition shape for
+/// shuffle-matrix recording without touching the file again.
+struct MapOutput {
+    path: String,
+    metas: Vec<SegMeta>,
 }
 
 /// Per-partition shape of a shipped map output.
@@ -77,21 +78,11 @@ pub struct JobConfig {
     /// segment travels raw even with compression on (default
     /// [`COMPRESS_MIN_BYTES`]).
     pub compress_min_bytes: usize,
-    /// Sort spills on the engine's background encoder pool so the mapper
-    /// keeps buffering while previous spills process; the map task's
-    /// finish becomes a drain-and-merge barrier. Output is byte-identical
-    /// to the synchronous path.
-    pub async_spill: bool,
     /// Sort spill batches with the radix kernel
     /// ([`Wire::sort_prefix`](gesall_formats::wire::Wire::sort_prefix)-keyed
     /// LSD radix, DESIGN.md §5) instead of the comparison sort. Output
     /// is identical either way; off = the scalar-twin benchmark config.
     pub radix_sort: bool,
-    /// `mapreduce.job.reduce.slowstart.completedmaps` — fraction of maps
-    /// that must finish before reducers are scheduled. The in-process
-    /// engine always barriers maps before reduces; the value is recorded
-    /// in the result for the cost model (gesall-sim) to consume.
-    pub slowstart_completed_maps: f64,
     pub map_vcores: usize,
     pub map_memory_mb: usize,
     pub reduce_vcores: usize,
@@ -105,14 +96,6 @@ pub struct JobConfig {
     /// Launch backup attempts for stragglers
     /// (`mapreduce.map.speculative` analogue).
     pub speculative: bool,
-    /// Ship committed map outputs through the DFS (one indexed file per
-    /// map task, pinned to the mapper's node) instead of handing
-    /// reducers in-memory segment references. Needs a DFS attached via
-    /// [`MapReduceEngine::with_shuffle_dfs`]; without one the engine
-    /// silently stays on the in-memory path. With replication > 1 a
-    /// node death no longer forces re-running committed maps — reducers
-    /// re-fetch the shipped output from a surviving replica.
-    pub shuffle_via_dfs: bool,
     /// An attempt is a straggler once it has run this multiple of the
     /// median completed-attempt runtime.
     pub speculative_multiplier: f64,
@@ -140,18 +123,6 @@ pub struct JobConfig {
     /// compressed codec; benchmarks and tests force `Seq` or `Raw` here
     /// for twin runs.
     pub shuffle_codec: Codec,
-    /// Pass the reducer's exec node to the DFS as a replica-selection
-    /// affinity so shuffle fetches prefer the co-located replica (map
-    /// outputs are pinned to their mapper's node, so with replication
-    /// above 1 a reducer scheduled there reads locally). Off = every
-    /// fetch uses the DFS's default replica order — the locality
-    /// twin's baseline.
-    pub shuffle_locality: bool,
-    /// How many map-output partition fetches may run ahead of the
-    /// reduce merge (the bounded prefetch pipeline). 0 behaves as 1:
-    /// the fetch of segment *n+1* always overlaps the merge draining
-    /// segment *n*.
-    pub shuffle_prefetch: usize,
 }
 
 impl Default for JobConfig {
@@ -163,16 +134,13 @@ impl Default for JobConfig {
             merge_factor: 10,
             compress_map_output: true,
             compress_min_bytes: COMPRESS_MIN_BYTES,
-            async_spill: true,
             radix_sort: true,
-            slowstart_completed_maps: 0.05,
             map_vcores: 1,
             map_memory_mb: 1024,
             reduce_vcores: 1,
             reduce_memory_mb: 1024,
             max_attempts: 4,
             retry_backoff_ms: 10.0,
-            shuffle_via_dfs: true,
             speculative: true,
             speculative_multiplier: 1.5,
             speculative_min_runtime_ms: 25.0,
@@ -180,8 +148,6 @@ impl Default for JobConfig {
             slot_lease: None,
             shuffle_namespace: None,
             shuffle_codec: Codec::Lz,
-            shuffle_locality: true,
-            shuffle_prefetch: 2,
         }
     }
 }
@@ -301,11 +267,11 @@ pub struct MapReduceEngine {
     node_death_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
     /// Span recorder; inert by default ([`Recorder::disabled`]).
     recorder: Recorder,
-    /// Engine-wide spill-encoder pool, spawned on first async-spill job.
+    /// Engine-wide spill-encoder pool, spawned by the first shuffling job.
     spill_pool: Mutex<Option<Arc<SpillPool>>>,
-    /// DFS used as shuffle transit when [`JobConfig::shuffle_via_dfs`]
-    /// is on; `None` keeps the in-memory handoff path.
-    shuffle_dfs: Mutex<Option<Dfs>>,
+    /// The DFS every shuffle ships through: the engine's private
+    /// transit store until a caller attaches its own.
+    shuffle_dfs: Mutex<Dfs>,
     /// Monotone id source for shuffle directories and attempt files, so
     /// retried/speculative attempts and repeated jobs never collide on
     /// a DFS path.
@@ -318,6 +284,14 @@ pub struct MapReduceEngine {
 
 impl MapReduceEngine {
     pub fn new(cluster: ClusterResources) -> MapReduceEngine {
+        // Private transit: one datanode per cluster node and no extra
+        // replicas, so a map output lives only on its mapper's node and
+        // a node death forces the map to re-run.
+        let transit = Dfs::new(DfsConfig {
+            n_nodes: cluster.n_nodes().max(1),
+            replication: 1,
+            ..DfsConfig::default()
+        });
         MapReduceEngine {
             cluster,
             fault_plan: FaultPlan::default(),
@@ -326,7 +300,7 @@ impl MapReduceEngine {
             node_death_hook: None,
             recorder: Recorder::disabled(),
             spill_pool: Mutex::new(None),
-            shuffle_dfs: Mutex::new(None),
+            shuffle_dfs: Mutex::new(transit),
             shuffle_seq: AtomicU64::new(0),
             dfs_faults_armed: AtomicBool::new(false),
         }
@@ -350,16 +324,16 @@ impl MapReduceEngine {
             .clone()
     }
 
-    /// Route shuffle through `dfs` for jobs with
-    /// [`JobConfig::shuffle_via_dfs`] set (builder form).
+    /// Ship every shuffle through `dfs` instead of the engine's private
+    /// transit store (builder form).
     pub fn with_shuffle_dfs(self, dfs: Dfs) -> MapReduceEngine {
         self.set_shuffle_dfs(dfs);
         self
     }
 
-    /// Attach (or replace) the shuffle-transit DFS on an existing engine.
+    /// Replace the shuffle-transit DFS on an existing engine.
     pub fn set_shuffle_dfs(&self, dfs: Dfs) {
-        *self.shuffle_dfs.lock() = Some(dfs);
+        *self.shuffle_dfs.lock() = dfs;
     }
 
     /// A single-node engine with `slots` concurrent tasks.
@@ -437,25 +411,20 @@ impl MapReduceEngine {
         let n_reducers = config.n_reducers.max(1);
 
         // ---- Map wave -------------------------------------------------
-        let shuffle_dfs = if config.shuffle_via_dfs {
-            self.shuffle_dfs.lock().clone()
-        } else {
-            None
-        };
+        let shuffle_dfs = self.shuffle_dfs.lock().clone();
+        let dfs_nodes = shuffle_dfs.config().n_nodes;
         // Arm the plan's storage-layer gray failures on the transit DFS,
         // once per engine (flaky-read budgets are consumable).
-        if let Some(dfs) = &shuffle_dfs {
-            let faults = self.fault_plan.dfs_faults();
-            if !faults.is_empty() && !self.dfs_faults_armed.swap(true, Ordering::SeqCst) {
-                for c in &faults.corrupt_blocks {
-                    dfs.inject_corrupt_on_write(&c.path_contains, c.block, c.replica);
-                }
-                for &(node, n) in &faults.flaky_reads {
-                    dfs.inject_flaky_reads(node, n);
-                }
-                for &(node, ms) in &faults.slow_nodes {
-                    dfs.inject_slow_node(node, ms);
-                }
+        let faults = self.fault_plan.dfs_faults();
+        if !faults.is_empty() && !self.dfs_faults_armed.swap(true, Ordering::SeqCst) {
+            for c in &faults.corrupt_blocks {
+                shuffle_dfs.inject_corrupt_on_write(&c.path_contains, c.block, c.replica);
+            }
+            for &(node, n) in &faults.flaky_reads {
+                shuffle_dfs.inject_flaky_reads(node, n);
+            }
+            for &(node, ms) in &faults.slow_nodes {
+                shuffle_dfs.inject_slow_node(node, ms);
             }
         }
         // Per-run shuffle directory: the id makes repeated jobs on one
@@ -473,10 +442,8 @@ impl MapReduceEngine {
         // every error path — losing attempts leave orphans at unique
         // paths, so a retention prefix sweep is the only correct
         // cleanup (charged to `dfs.retention.swept.completed`).
-        let cleanup_shuffle = |dfs: &Option<Dfs>| {
-            if let Some(dfs) = dfs {
-                dfs.sweep_prefix(&shuffle_base, SweepReason::Completed);
-            }
+        let cleanup_shuffle = || {
+            shuffle_dfs.sweep_prefix(&shuffle_base, SweepReason::Completed);
         };
         let map_outputs: Vec<Mutex<Option<MapOutput>>> =
             (0..n_maps).map(|_| Mutex::new(None)).collect();
@@ -485,36 +452,30 @@ impl MapReduceEngine {
         // before/after delta around the map wave is this job's share.
         // (Per-attempt bags can't carry it: a discarded speculative
         // attempt's bag is dropped, but its encoder time was real.)
-        let pool = config.async_spill.then(|| self.spill_pool());
-        let pool_busy0 = pool.as_ref().map_or(0, |p| p.busy_nanos());
-        let pool_waits0 = pool.as_ref().map_or(0, |p| p.submit_waits());
-        let pool_grown0 = pool.as_ref().map_or(0, |p| p.workers_grown());
+        let pool = self.spill_pool();
+        let pool_busy0 = pool.busy_nanos();
+        let pool_waits0 = pool.submit_waits();
+        let pool_grown0 = pool.workers_grown();
 
-        // With DFS transit, a committed map whose home node dies may
-        // still be readable from a replica: probe actual datanode
-        // storage, excluding every engine-dead node's co-located
-        // datanode (the DFS may not have been told about the death yet
-        // — the failure hook runs after eviction decisions).
-        let survival;
-        let survives: SurvivalCheck = match &shuffle_dfs {
-            Some(dfs) => {
-                let dfs = dfs.clone();
-                let slots = &map_outputs;
-                survival = move |task: usize| -> bool {
-                    let slot = slots[task].lock();
-                    let Some(MapOutput::Dfs { path, .. }) = &*slot else {
-                        return false;
-                    };
-                    let n = dfs.config().n_nodes;
-                    let mut excluded: Vec<usize> =
-                        self.dead_nodes.lock().iter().map(|d| d % n).collect();
-                    excluded.sort_unstable();
-                    excluded.dedup();
-                    dfs.file_available_excluding(path, &excluded)
-                };
-                Some(&survival)
-            }
-            None => None,
+        // A committed map whose home node dies may still be readable
+        // from a replica: probe actual datanode storage, excluding every
+        // engine-dead node's co-located datanode (the DFS may not have
+        // been told about the death yet — the failure hook runs after
+        // eviction decisions).
+        let survival = |task: usize| -> bool {
+            let slot = map_outputs[task].lock();
+            let Some(MapOutput { path, .. }) = &*slot else {
+                return false;
+            };
+            let mut excluded: Vec<usize> = self
+                .dead_nodes
+                .lock()
+                .iter()
+                .map(|d| d % dfs_nodes)
+                .collect();
+            excluded.sort_unstable();
+            excluded.dedup();
+            shuffle_dfs.file_available_excluding(path, &excluded)
         };
 
         let map_wave = self.run_wave(
@@ -526,7 +487,7 @@ impl MapReduceEngine {
             job_span.id,
             &prefs,
             &map_outputs,
-            survives,
+            Some(&survival),
             |task_id, exec_node, bag| {
                 let t_task = Instant::now();
                 let split = &splits[task_id];
@@ -536,14 +497,12 @@ impl MapReduceEngine {
                     n_reducers,
                     partitioner,
                     config.compress_map_output,
+                    pool.clone(),
                     bag.clone(),
                 )
                 .with_min_compress_bytes(config.compress_min_bytes)
                 .with_codec(config.shuffle_codec)
                 .with_radix(config.radix_sort);
-                if let Some(pool) = &pool {
-                    buf = buf.with_pool(pool.clone());
-                }
                 {
                     let mut sink = |k: M::OutKey, v: M::OutValue| buf.emit(k, v);
                     let mut ctx = MapContext { sink: &mut sink };
@@ -553,71 +512,63 @@ impl MapReduceEngine {
                     mapper.finish(&mut ctx);
                 }
                 let segments = buf.finish();
-                // Map phase = task body minus the timed sub-phases. With
-                // async spill the sort overlaps the map loop, so only the
-                // merge and the drain wait are subtracted — SortSpill
-                // nanos (recorded by the encoders) no longer come out of
+                // Map phase = task body minus the timed sub-phases. The
+                // sort overlaps the map loop on the encoder pool, so only
+                // the merge and the drain wait are subtracted — SortSpill
+                // nanos (recorded by the encoders) do not come out of
                 // this task's wall-clock.
-                let accounted = if config.async_spill {
-                    bag.get(Phase::MapMerge.counter_key())
-                        + bag.get(keys::SPILL_POOL_DRAIN_WAIT_NANOS)
-                } else {
-                    bag.get(Phase::SortSpill.counter_key())
-                        + bag.get(Phase::MapMerge.counter_key())
-                };
+                let accounted = bag.get(Phase::MapMerge.counter_key())
+                    + bag.get(keys::SPILL_POOL_DRAIN_WAIT_NANOS);
                 let total = t_task.elapsed().as_nanos() as u64;
                 bag.add(Phase::Map.counter_key(), total.saturating_sub(accounted));
-                match &shuffle_dfs {
-                    Some(dfs) => {
-                        let metas = segments
-                            .iter()
-                            .map(|s| SegMeta {
-                                wire_len: s.wire_len(),
-                                compressed: s.is_compressed(),
-                                records: s.records,
-                            })
-                            .collect();
-                        // Attempt-unique path: a speculative or retried
-                        // attempt of the same task must never collide
-                        // with (or clobber) another attempt's file.
-                        let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
-                        let path = format!("{shuffle_base}/map-{task_id:05}-a{uid}.segs");
-                        let t_ship = Instant::now();
-                        let pin = PinnedPlacement(exec_node % dfs.config().n_nodes);
-                        if let Err(e) =
-                            shipping::store_map_output_with_policy(dfs, &path, &segments, &pin, bag)
-                        {
-                            // A panic here is an attempt failure → retry.
-                            panic!("shipping map output {path} to DFS: {e}");
-                        }
-                        // Persisting the output is the map-side half of
-                        // the shuffle, not map compute.
-                        bag.add(
-                            Phase::Shuffle.counter_key(),
-                            t_ship.elapsed().as_nanos() as u64,
-                        );
-                        MapOutput::Dfs { path, metas }
-                    }
-                    None => MapOutput::Memory(segments),
+                let metas = segments
+                    .iter()
+                    .map(|s| SegMeta {
+                        wire_len: s.wire_len(),
+                        compressed: s.is_compressed(),
+                        records: s.records,
+                    })
+                    .collect();
+                // Attempt-unique path: a speculative or retried attempt
+                // of the same task must never collide with (or clobber)
+                // another attempt's file.
+                let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
+                let path = format!("{shuffle_base}/map-{task_id:05}-a{uid}.segs");
+                let t_ship = Instant::now();
+                let pin = PinnedPlacement(exec_node % dfs_nodes);
+                if let Err(e) = shipping::store_map_output_with_policy(
+                    &shuffle_dfs,
+                    &path,
+                    &segments,
+                    &pin,
+                    bag,
+                ) {
+                    // A panic here is an attempt failure → retry.
+                    panic!("shipping map output {path} to DFS: {e}");
                 }
+                // Persisting the output is the map-side half of the
+                // shuffle, not map compute.
+                bag.add(
+                    Phase::Shuffle.counter_key(),
+                    t_ship.elapsed().as_nanos() as u64,
+                );
+                MapOutput { path, metas }
             },
         );
-        if let Some(p) = &pool {
-            counters.add(
-                keys::SPILL_POOL_BUSY_NANOS,
-                p.busy_nanos().saturating_sub(pool_busy0),
-            );
-            counters.add(
-                keys::SPILL_POOL_SUBMIT_WAITS,
-                p.submit_waits().saturating_sub(pool_waits0),
-            );
-            counters.add(
-                keys::SPILL_POOL_WORKERS_GROWN,
-                p.workers_grown().saturating_sub(pool_grown0),
-            );
-        }
+        counters.add(
+            keys::SPILL_POOL_BUSY_NANOS,
+            pool.busy_nanos().saturating_sub(pool_busy0),
+        );
+        counters.add(
+            keys::SPILL_POOL_SUBMIT_WAITS,
+            pool.submit_waits().saturating_sub(pool_waits0),
+        );
+        counters.add(
+            keys::SPILL_POOL_WORKERS_GROWN,
+            pool.workers_grown().saturating_sub(pool_grown0),
+        );
         if let Err(e) = map_wave {
-            cleanup_shuffle(&shuffle_dfs);
+            cleanup_shuffle();
             return Err(e);
         }
 
@@ -633,7 +584,7 @@ impl MapReduceEngine {
         let map_outputs = match collected {
             Ok(v) => v,
             Err(e) => {
-                cleanup_shuffle(&shuffle_dfs);
+                cleanup_shuffle();
                 return Err(e);
             }
         };
@@ -642,19 +593,9 @@ impl MapReduceEngine {
         // speculative reduce attempts cannot double-count a cell.
         if self.recorder.is_enabled() {
             for (m, out) in map_outputs.iter().enumerate() {
-                match out {
-                    MapOutput::Memory(per_map) => {
-                        for (r, seg) in per_map.iter().enumerate() {
-                            self.recorder
-                                .shuffle_cell(m, r, seg.wire_len() as u64, seg.is_compressed());
-                        }
-                    }
-                    MapOutput::Dfs { metas, .. } => {
-                        for (r, meta) in metas.iter().enumerate() {
-                            self.recorder
-                                .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
-                        }
-                    }
+                for (r, meta) in out.metas.iter().enumerate() {
+                    self.recorder
+                        .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
                 }
             }
         }
@@ -677,77 +618,53 @@ impl MapReduceEngine {
                 // Locality hint: the reducer's exec node, mapped onto
                 // the DFS node space exactly as map outputs were
                 // pinned, so a fetch prefers the co-located replica.
-                let affinity = match &shuffle_dfs {
-                    Some(dfs) if config.shuffle_locality => {
-                        ReadAffinity::node(exec_node % dfs.config().n_nodes)
-                    }
-                    _ => ReadAffinity::NONE,
-                };
+                let affinity = ReadAffinity::node(exec_node % dfs_nodes);
                 // The merge must know its nonempty-run count before
                 // fetching anything — the shipped metas carry it.
                 let n_runs = map_outputs
                     .iter()
-                    .filter(|out| match out {
-                        MapOutput::Memory(per_map) => per_map[partition].records > 0,
-                        MapOutput::Dfs { metas, .. } => metas[partition].records > 0,
-                    })
+                    .filter(|out| out.metas[partition].records > 0)
                     .count();
                 let outputs: &[MapOutput] = &map_outputs;
-                let dfs_ref = shuffle_dfs.as_ref();
-                let depth = config.shuffle_prefetch.max(1);
+                let dfs = &shuffle_dfs;
                 // Pull this partition from every map output: a DFS range
-                // read per shipped file (only this reducer's frame
-                // travels), or — on the in-memory path — a zero-copy
-                // refcount bump on the map task's output backing. The
-                // fetcher thread runs up to `depth` segments ahead of
-                // the merge; only the time the merge *waits* on it is
-                // charged as shuffle — overlapped fetch time is the
-                // latency the pipeline hides.
+                // read per shipped file, so only this reducer's frame
+                // travels. The fetcher thread runs up to
+                // SHUFFLE_PREFETCH_DEPTH segments ahead of the merge;
+                // only the time the merge *waits* on it is charged as
+                // shuffle — overlapped fetch time is the latency the
+                // pipeline hides.
                 let grouped = std::thread::scope(|scope| {
-                    let (tx, rx) =
-                        std::sync::mpsc::sync_channel::<Result<Segment, String>>(depth);
+                    let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Segment, String>>(
+                        SHUFFLE_PREFETCH_DEPTH,
+                    );
                     scope.spawn(move || {
-                        for out in outputs {
-                            let res = match out {
-                                MapOutput::Memory(per_map) => {
-                                    let seg = per_map[partition].clone();
-                                    bag.add(keys::SHUFFLE_BYTES_MEMORY, seg.wire_len() as u64);
-                                    Ok(seg)
-                                }
-                                MapOutput::Dfs { path, .. } => {
-                                    // The DFS already retries transient
-                                    // replica failures internally; this
-                                    // outer loop covers whole-op failures
-                                    // that outlive its budget (e.g. a
-                                    // deadline expiry). Non-retryable
-                                    // errors — corrupt beyond repair,
-                                    // missing file — surface immediately:
-                                    // that's an attempt failure, and the
-                                    // scheduler's re-run (or reship probe)
-                                    // is the right recovery.
-                                    let dfs = dfs_ref.expect("Dfs output implies a DFS");
-                                    let mut tries = 0usize;
-                                    loop {
-                                        match shipping::fetch_partition_at(
-                                            dfs, path, partition, affinity, bag,
-                                        ) {
-                                            Ok(seg) => {
-                                                bag.add(
-                                                    keys::SHUFFLE_BYTES_DFS,
-                                                    seg.wire_len() as u64,
-                                                );
-                                                break Ok(seg);
-                                            }
-                                            Err(e) if e.is_retryable() && tries < 2 => {
-                                                tries += 1;
-                                                bag.add(keys::SHUFFLE_FETCH_RETRIES, 1);
-                                            }
-                                            Err(e) => {
-                                                break Err(format!(
-                                                    "fetching partition {partition} of {path}: {e}"
-                                                ));
-                                            }
-                                        }
+                        for MapOutput { path, .. } in outputs {
+                            // The DFS already retries transient replica
+                            // failures internally; this outer loop covers
+                            // whole-op failures that outlive its budget
+                            // (e.g. a deadline expiry). Non-retryable
+                            // errors — corrupt beyond repair, missing
+                            // file — surface immediately: that's an
+                            // attempt failure, and the scheduler's re-run
+                            // (or reship probe) is the right recovery.
+                            let mut tries = 0usize;
+                            let res = loop {
+                                match shipping::fetch_partition_at(
+                                    dfs, path, partition, affinity, bag,
+                                ) {
+                                    Ok(seg) => {
+                                        bag.add(keys::SHUFFLE_BYTES_DFS, seg.wire_len() as u64);
+                                        break Ok(seg);
+                                    }
+                                    Err(e) if e.is_retryable() && tries < 2 => {
+                                        tries += 1;
+                                        bag.add(keys::SHUFFLE_FETCH_RETRIES, 1);
+                                    }
+                                    Err(e) => {
+                                        break Err(format!(
+                                            "fetching partition {partition} of {path}: {e}"
+                                        ));
                                     }
                                 }
                             };
@@ -801,7 +718,7 @@ impl MapReduceEngine {
             },
         );
         if let Err(e) = reduce_wave {
-            cleanup_shuffle(&shuffle_dfs);
+            cleanup_shuffle();
             return Err(e);
         }
 
@@ -815,7 +732,7 @@ impl MapReduceEngine {
             .collect();
         // Shuffle transit is consumed; free the run's DFS files whether
         // the job succeeded or not.
-        cleanup_shuffle(&shuffle_dfs);
+        cleanup_shuffle();
         let outputs = collected?;
         let mut events = events.into_inner();
         sort_events(&mut events);
@@ -1127,7 +1044,7 @@ struct WaveCtx<'a, T> {
     done: &'a [AtomicBool],
     outputs: &'a [Mutex<Option<T>>],
     /// Probe whether a committed task's output survives a node death
-    /// (DFS-transit shuffle); `None` means outputs live only on their
+    /// (a shipped map output); `None` means outputs live only on their
     /// home node.
     survives: SurvivalCheck<'a>,
 }
@@ -1502,7 +1419,7 @@ impl<T> WaveCtx<'_, T> {
                     let homed_here = st.tasks[task].home == Some(death.node);
                     let survives_death = match self.survives {
                         Some(check) => check(task),
-                        // In-memory shuffle: output lives only on its home.
+                        // Map-only output lives only on its home.
                         None => !homed_here,
                     };
                     if survives_death {
@@ -1754,41 +1671,27 @@ mod tests {
     }
 
     #[test]
-    fn async_spill_outputs_match_sync() {
-        // Flipping async_spill must not change job output — the drain
-        // barrier keeps the merged segments byte-identical — but the
-        // async run must actually route spills through the encoder pool.
-        let run = |async_spill: bool| {
-            let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
-            let cfg = JobConfig {
-                n_reducers: 3,
-                io_sort_bytes: 512, // force many spills per task
-                async_spill,
-                ..JobConfig::default()
-            };
-            let res = engine
-                .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(5, 40))
-                .unwrap();
-            if async_spill {
-                assert!(
-                    res.counters.get(keys::SPILL_POOL_JOBS) > 0,
-                    "async run must submit spills to the pool"
-                );
-                assert_eq!(
-                    res.counters.get(keys::SPILL_POOL_JOBS),
-                    res.counters.get(keys::MAP_SPILLS)
-                );
-                assert!(res.counters.get(keys::SPILL_POOL_BUSY_NANOS) > 0);
-            } else {
-                assert_eq!(res.counters.get(keys::SPILL_POOL_JOBS), 0);
-            }
-            let mut outs = res.outputs;
-            for o in &mut outs {
-                o.sort();
-            }
-            outs
+    fn spills_run_on_the_encoder_pool() {
+        // Every spill of a starved sort buffer must be submitted to the
+        // engine's encoder pool, and the pool must do real work.
+        let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
+        let cfg = JobConfig {
+            n_reducers: 3,
+            io_sort_bytes: 512, // force many spills per task
+            ..JobConfig::default()
         };
-        assert_eq!(run(true), run(false));
+        let res = engine
+            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(5, 40))
+            .unwrap();
+        assert!(
+            res.counters.get(keys::SPILL_POOL_JOBS) > 0,
+            "spills must be submitted to the pool"
+        );
+        assert_eq!(
+            res.counters.get(keys::SPILL_POOL_JOBS),
+            res.counters.get(keys::MAP_SPILLS)
+        );
+        assert!(res.counters.get(keys::SPILL_POOL_BUSY_NANOS) > 0);
     }
 
     #[test]
@@ -1815,9 +1718,9 @@ mod tests {
     }
 
     #[test]
-    fn dfs_transit_shuffle_matches_memory_path_and_cleans_up() {
+    fn private_transit_shuffle_matches_attached_dfs_and_cleans_up() {
         use gesall_dfs::DfsConfig;
-        let run = |dfs: Option<Dfs>, via_dfs: bool| {
+        let run = |dfs: Option<Dfs>| {
             let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096));
             if let Some(dfs) = dfs {
                 engine.set_shuffle_dfs(dfs);
@@ -1825,67 +1728,44 @@ mod tests {
             let cfg = JobConfig {
                 n_reducers: 4,
                 io_sort_bytes: 512,
-                shuffle_via_dfs: via_dfs,
                 ..JobConfig::default()
             };
             let res = engine
                 .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(6, 50))
                 .unwrap();
+            // The run's shuffle files are swept once reducers consumed
+            // them, on whichever DFS carried them.
+            let transit = engine.shuffle_dfs.lock().list("/job/");
+            assert!(
+                transit.is_empty(),
+                "shuffle transit files must be cleaned up: {transit:?}"
+            );
             let mut outs = res.outputs;
             for o in &mut outs {
                 o.sort();
             }
             (outs, res.counters)
         };
-        let dfs = Dfs::new(DfsConfig {
+        let attached = Dfs::new(DfsConfig {
             n_nodes: 3,
             block_size: 1 << 20,
             replication: 2,
             ..DfsConfig::default()
         });
-        let (dfs_outs, dfs_counters) = run(Some(dfs.clone()), true);
-        let (mem_outs, mem_counters) = run(None, false);
-        assert_eq!(dfs_outs, mem_outs, "transit layer must not change results");
-        // DFS transit carries every shuffled byte; nothing is handed
-        // over as an in-memory segment reference, and vice versa.
-        assert!(dfs_counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
-        assert_eq!(dfs_counters.get(keys::SHUFFLE_BYTES_MEMORY), 0);
-        assert!(mem_counters.get(keys::SHUFFLE_BYTES_MEMORY) > 0);
-        assert_eq!(mem_counters.get(keys::SHUFFLE_BYTES_DFS), 0);
+        let (attached_outs, attached_counters) = run(Some(attached));
+        let (private_outs, private_counters) = run(None);
         assert_eq!(
-            dfs_counters.get(keys::SHUFFLE_BYTES_DFS),
-            mem_counters.get(keys::SHUFFLE_BYTES_MEMORY),
-            "both paths move the same wire bytes"
+            private_outs, attached_outs,
+            "transit store must not change results"
         );
-        // The run's shuffle files are swept once reducers consumed them.
-        assert!(
-            dfs.list("/job/").is_empty(),
-            "shuffle transit files must be cleaned up: {:?}",
-            dfs.list("/job/")
+        // With no DFS attached the engine still ships every shuffled
+        // byte through its private transit store.
+        assert!(private_counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
+        assert_eq!(
+            private_counters.get(keys::SHUFFLE_BYTES_DFS),
+            attached_counters.get(keys::SHUFFLE_BYTES_DFS),
+            "both stores move the same wire bytes"
         );
-    }
-
-    #[test]
-    fn shuffle_via_dfs_flag_off_keeps_memory_path_despite_attached_dfs() {
-        use gesall_dfs::DfsConfig;
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 2,
-            block_size: 1 << 20,
-            replication: 1,
-            ..DfsConfig::default()
-        });
-        let engine =
-            MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
-        let cfg = JobConfig {
-            n_reducers: 2,
-            shuffle_via_dfs: false,
-            ..JobConfig::default()
-        };
-        let res = engine
-            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(3, 20))
-            .unwrap();
-        assert_eq!(res.counters.get(keys::SHUFFLE_BYTES_DFS), 0);
-        assert!(res.counters.get(keys::SHUFFLE_BYTES_MEMORY) > 0);
     }
 
     #[test]

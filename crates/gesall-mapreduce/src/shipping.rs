@@ -85,8 +85,8 @@ pub fn map_output_path(job: &str, map_task: usize) -> String {
 /// of DFS transit, counted under `shuffle.ship.bytes.copied` (not the
 /// zero-copy gauge `mem.bytes.copied`); compressed payloads are written
 /// as-is, never re-encoded. Blocks are placed by `policy` — the engine pins a map
-/// output to its mapper's node so locality (and node-loss semantics)
-/// match the in-memory shuffle it replaces.
+/// output to its mapper's node, so with replication 1 a node death
+/// loses exactly the map outputs that ran there.
 pub fn store_map_output_with_policy(
     dfs: &Dfs,
     path: &str,

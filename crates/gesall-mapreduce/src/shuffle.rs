@@ -4,13 +4,12 @@
 //! (`io.sort.mb`). A full buffer is sorted by (partition, key) and
 //! spilled; when the map function finishes, all spills are merged into a
 //! single sorted, partitioned output (the *map-side merge* whose disk
-//! contention dominates Fig. 5(b) at large partition sizes). With a
-//! [`SpillPool`] attached, the sort-and-bucket work of each spill runs on
-//! a background encoder while the mapper keeps buffering, and
-//! [`SortSpillBuffer::finish`] becomes a drain-and-merge barrier — the
-//! merged output is byte-identical to the synchronous path because spills
-//! land in submission order and the final encode still happens in one
-//! place.
+//! contention dominates Fig. 5(b) at large partition sizes). The
+//! sort-and-bucket work of each spill runs on a [`SpillPool`] encoder
+//! while the mapper keeps buffering, and [`SortSpillBuffer::finish`] is a
+//! drain-and-merge barrier — the merged output does not depend on how
+//! many spills there were, because spills land in submission order and
+//! the final encode still happens in one place.
 //!
 //! Reduce side: each reducer fetches its partition's segment from every
 //! map output and runs a **multipass merge** bounded by `merge_factor`
@@ -584,7 +583,7 @@ type SpillRuns<K, V> = Vec<Vec<(K, V)>>;
 
 /// Sequence-ordered slots the spill encoders fill: slot `i` holds the
 /// runs of the `i`-th submitted spill, so the drain barrier hands the
-/// merge the same spill order the synchronous path would have produced.
+/// merge the spills in emission order whatever order they finished in.
 struct SpillSlots<K, V> {
     filled: Mutex<Vec<Option<SpillRuns<K, V>>>>,
     done: Condvar,
@@ -598,10 +597,8 @@ pub struct SortSpillBuffer<'a, K: Wire + Ord + Clone, V: Wire> {
     policy: CodecPolicy,
     current: Vec<(usize, K, V)>,
     current_bytes: usize,
-    /// Each spill holds one sorted run per partition (synchronous path).
-    spills: Vec<Vec<Vec<(K, V)>>>,
-    /// When set, spills sort on these background encoders instead.
-    pool: Option<Arc<SpillPool>>,
+    /// Background encoders every spill sorts on.
+    pool: Arc<SpillPool>,
     slots: Arc<SpillSlots<K, V>>,
     counters: Counters,
     /// Radix-sort spill batches (default); off = comparison-sort twin.
@@ -613,11 +610,15 @@ where
     K: Wire + Ord + Clone + Send + 'static,
     V: Wire + Send + 'static,
 {
+    /// A sort buffer whose spills sort on `pool`'s background encoders:
+    /// the mapper keeps buffering while previous spills sort, and
+    /// [`SortSpillBuffer::finish`] drains before merging.
     pub fn new(
         io_sort_bytes: usize,
         n_partitions: usize,
         partitioner: &'a dyn Partitioner<K>,
         use_compression: bool,
+        pool: Arc<SpillPool>,
         counters: Counters,
     ) -> Self {
         SortSpillBuffer {
@@ -627,8 +628,7 @@ where
             policy: CodecPolicy::new(use_compression, COMPRESS_MIN_BYTES),
             current: Vec::new(),
             current_bytes: 0,
-            spills: Vec::new(),
-            pool: None,
+            pool,
             slots: Arc::new(SpillSlots {
                 filled: Mutex::new(Vec::new()),
                 done: Condvar::new(),
@@ -643,14 +643,6 @@ where
     /// way; only speed changes.
     pub fn with_radix(mut self, radix: bool) -> Self {
         self.radix = radix;
-        self
-    }
-
-    /// Run spills on `pool`'s background encoders; the mapper keeps
-    /// buffering while previous spills sort, and
-    /// [`SortSpillBuffer::finish`] drains before merging.
-    pub fn with_pool(mut self, pool: Arc<SpillPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -689,68 +681,52 @@ where
         let batch = std::mem::take(&mut self.current);
         self.current_bytes = 0;
         self.counters.add(keys::MAP_SPILLS, 1);
-        match &self.pool {
-            Some(pool) => {
-                // Reserve the next sequence slot, then hand the sort to
-                // an encoder. The partition index was computed at emit
-                // time, so the job captures only owned data.
-                let idx = {
-                    let mut slots = self.slots.filled.lock();
-                    slots.push(None);
-                    slots.len() - 1
-                };
-                self.counters.add(keys::SPILL_POOL_JOBS, 1);
-                let n = self.n_partitions;
-                let radix = self.radix;
-                let slots = self.slots.clone();
-                let counters = self.counters.clone();
-                pool.submit(Box::new(move || {
-                    let t0 = Instant::now();
-                    let runs = sort_and_bucket(batch, n, radix, &counters);
-                    counters.add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
-                    let mut filled = slots.filled.lock();
-                    filled[idx] = Some(runs);
-                    slots.done.notify_all();
-                }));
-            }
-            None => {
-                let t0 = Instant::now();
-                let runs =
-                    sort_and_bucket(batch, self.n_partitions, self.radix, &self.counters);
-                self.spills.push(runs);
-                self.counters
-                    .add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
-            }
-        }
+        // Reserve the next sequence slot, then hand the sort to an
+        // encoder. The partition index was computed at emit time, so the
+        // job captures only owned data.
+        let idx = {
+            let mut slots = self.slots.filled.lock();
+            slots.push(None);
+            slots.len() - 1
+        };
+        self.counters.add(keys::SPILL_POOL_JOBS, 1);
+        let n = self.n_partitions;
+        let radix = self.radix;
+        let slots = self.slots.clone();
+        let counters = self.counters.clone();
+        self.pool.submit(Box::new(move || {
+            let t0 = Instant::now();
+            let runs = sort_and_bucket(batch, n, radix, &counters);
+            counters.add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
+            let mut filled = slots.filled.lock();
+            filled[idx] = Some(runs);
+            slots.done.notify_all();
+        }));
     }
 
     /// Finish the map task: merge all spills into one sorted segment per
-    /// partition. With a pool attached this is the drain-and-merge
-    /// barrier — it waits for outstanding background spills (the wait is
-    /// counted under [`keys::SPILL_POOL_DRAIN_WAIT_NANOS`]) and then
-    /// merges them in submission order, producing output byte-identical
-    /// to the synchronous path.
+    /// partition. This is the drain-and-merge barrier — it waits for
+    /// outstanding background spills (the wait is counted under
+    /// [`keys::SPILL_POOL_DRAIN_WAIT_NANOS`]) and then merges them in
+    /// submission order, so the output does not depend on how many
+    /// spills the buffer size caused.
     pub fn finish(mut self) -> Vec<Segment> {
         self.spill();
-        let spills: Vec<Vec<Vec<(K, V)>>> = if self.pool.is_some() {
-            let t0 = Instant::now();
+        let t0 = Instant::now();
+        let spills: Vec<SpillRuns<K, V>> = {
             let mut filled = self.slots.filled.lock();
             while filled.iter().any(|s| s.is_none()) {
                 self.slots.done.wait(&mut filled);
             }
-            let drained: Vec<_> = filled
+            filled
                 .drain(..)
                 .map(|s| s.expect("drain barrier saw all slots filled"))
-                .collect();
-            drop(filled);
-            self.counters.add(
-                keys::SPILL_POOL_DRAIN_WAIT_NANOS,
-                t0.elapsed().as_nanos() as u64,
-            );
-            drained
-        } else {
-            std::mem::take(&mut self.spills)
+                .collect()
         };
+        self.counters.add(
+            keys::SPILL_POOL_DRAIN_WAIT_NANOS,
+            t0.elapsed().as_nanos() as u64,
+        );
         let t0 = Instant::now();
         let n_spills = spills.len();
         if n_spills > 1 {
@@ -1217,6 +1193,10 @@ mod tests {
     use super::*;
     use crate::task::HashPartitioner;
 
+    fn pool() -> Arc<SpillPool> {
+        Arc::new(SpillPool::new(2, 4))
+    }
+
     #[test]
     fn segment_roundtrip_compressed_and_raw() {
         let pairs: Vec<(String, u64)> = (0..500)
@@ -1405,7 +1385,7 @@ mod tests {
         let counters = Counters::new();
         let p = HashPartitioner;
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(256, 2, &p, false, counters.clone());
+            SortSpillBuffer::new(256, 2, &p, false, pool(), counters.clone());
         for i in 0..200u64 {
             buf.emit(i % 37, i);
         }
@@ -1428,7 +1408,7 @@ mod tests {
         let counters = Counters::new();
         let p = crate::task::FnPartitioner::new(|k: &u64, n| (*k as usize) % n);
         let mut buf: SortSpillBuffer<'_, u64, String> =
-            SortSpillBuffer::new(1 << 20, 3, &p, false, counters);
+            SortSpillBuffer::new(1 << 20, 3, &p, false, pool(), counters);
         for i in 0..60u64 {
             buf.emit(i, format!("v{i}"));
         }
@@ -1490,13 +1470,13 @@ mod tests {
 
     #[test]
     fn finish_partitions_share_one_backing() {
-        // The zero-copy contract of the shuffle: a map task's segments
-        // are windows of ONE backing, and the reduce-side fetch (a
-        // segment clone) shares it — pointer identity, no payload copy.
+        // The zero-copy contract of the map side: a map task's segments
+        // are windows of ONE backing, and a segment clone shares it —
+        // pointer identity, no payload copy.
         let counters = Counters::new();
         let p = crate::task::FnPartitioner::new(|k: &u64, n| (*k as usize) % n);
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(256, 4, &p, false, counters);
+            SortSpillBuffer::new(256, 4, &p, false, pool(), counters);
         for i in 0..300u64 {
             buf.emit(i, i * 7);
         }
@@ -1511,7 +1491,7 @@ mod tests {
         let fetched = segs[0].clone();
         assert!(
             fetched.data.same_backing(&segs[0].data),
-            "reduce-side fetch must not copy the payload"
+            "a segment clone must not copy the payload"
         );
     }
 
@@ -1553,7 +1533,7 @@ mod tests {
         for comp in [false, true] {
             let counters = Counters::new();
             let mut buf: SortSpillBuffer<'_, String, u64> =
-                SortSpillBuffer::new(512, 3, &p, comp, counters.clone());
+                SortSpillBuffer::new(512, 3, &p, comp, pool(), counters.clone());
             for i in 0..400u64 {
                 buf.emit(format!("key{:03}", i % 40), i);
             }
@@ -1579,30 +1559,32 @@ mod tests {
     }
 
     #[test]
-    fn async_spill_is_byte_identical_to_sync() {
-        // The determinism contract of the overlapped pipeline: with the
-        // same emit stream, the async path's merged segments must be
-        // byte-for-byte the sync path's, codec on or off.
+    fn spill_count_does_not_change_segments() {
+        // The determinism contract of the overlapped pipeline: the same
+        // emit stream must merge to byte-identical segments whether a
+        // tiny buffer spilled it through the pool many times or one
+        // large buffer spilled it once, codec on or off.
         let p = HashPartitioner;
+        let emit_all = |buf: &mut SortSpillBuffer<'_, String, u64>| {
+            for i in 0..600u64 {
+                buf.emit(format!("key{:03}", i % 53), i);
+            }
+        };
         for comp in [false, true] {
-            let sync_segs = {
+            let once = {
                 let counters = Counters::new();
-                let mut buf: SortSpillBuffer<'_, String, u64> =
-                    SortSpillBuffer::new(512, 3, &p, comp, counters);
-                for i in 0..600u64 {
-                    buf.emit(format!("key{:03}", i % 53), i);
-                }
-                buf.finish()
+                let mut buf = SortSpillBuffer::new(1 << 20, 3, &p, comp, pool(), counters.clone());
+                emit_all(&mut buf);
+                let segs = buf.finish();
+                assert_eq!(counters.get(keys::MAP_SPILLS), 1);
+                segs
             };
-            let async_segs = {
-                let pool = Arc::new(SpillPool::new(3, 2));
+            let many = {
+                let pool = pool();
                 let counters = Counters::new();
-                let mut buf: SortSpillBuffer<'_, String, u64> =
-                    SortSpillBuffer::new(512, 3, &p, comp, counters.clone())
-                        .with_pool(pool.clone());
-                for i in 0..600u64 {
-                    buf.emit(format!("key{:03}", i % 53), i);
-                }
+                let mut buf =
+                    SortSpillBuffer::new(512, 3, &p, comp, pool.clone(), counters.clone());
+                emit_all(&mut buf);
                 let segs = buf.finish();
                 assert!(
                     counters.get(keys::SPILL_POOL_JOBS) > 1,
@@ -1615,12 +1597,12 @@ mod tests {
                 assert_eq!(pool.jobs_run(), counters.get(keys::SPILL_POOL_JOBS));
                 segs
             };
-            assert_eq!(sync_segs.len(), async_segs.len());
-            for (s, a) in sync_segs.iter().zip(&async_segs) {
-                assert_eq!(s.codec, a.codec);
-                assert_eq!(s.records, a.records);
-                assert_eq!(s.raw_len, a.raw_len);
-                assert_eq!(&s.data[..], &a.data[..], "merged payloads must match");
+            assert_eq!(once.len(), many.len());
+            for (o, m) in once.iter().zip(&many) {
+                assert_eq!(o.codec, m.codec);
+                assert_eq!(o.records, m.records);
+                assert_eq!(o.raw_len, m.raw_len);
+                assert_eq!(&o.data[..], &m.data[..], "merged payloads must match");
             }
         }
     }

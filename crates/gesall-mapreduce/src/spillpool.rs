@@ -11,7 +11,7 @@
 //! [`finish`](crate::shuffle::SortSpillBuffer::finish) becomes a
 //! drain-and-merge barrier that waits for its outstanding spills before
 //! merging — the determinism contract (spills land in submission order)
-//! is preserved, which the async-vs-sync byte-identity test pins down.
+//! is preserved, which the spill-count invariance test pins down.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;

@@ -202,5 +202,4 @@ fn acceptance_corrupt_slow_and_flaky_job_matches_fault_free_run() {
         "dfs.reads.hedged must be nonzero"
     );
     assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
-    assert_eq!(res.counters.get(keys::SHUFFLE_BYTES_MEMORY), 0);
 }

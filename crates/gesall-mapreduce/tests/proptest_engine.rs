@@ -10,9 +10,10 @@ use gesall_mapreduce::shuffle::{
 };
 use gesall_mapreduce::{
     ClusterResources, HashPartitioner, InputSplit, JobConfig, MapContext, MapReduceEngine, Mapper,
-    ReduceContext, Reducer,
+    ReduceContext, Reducer, SpillPool,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 struct KeyMod(u64);
 impl Mapper for KeyMod {
@@ -456,6 +457,7 @@ proptest! {
                 n_partitions,
                 &p,
                 false,
+                Arc::new(SpillPool::new(2, 4)),
                 counters,
             )
             .with_radix(radix);
@@ -487,6 +489,7 @@ proptest! {
                 n_partitions,
                 &p,
                 false,
+                Arc::new(SpillPool::new(2, 4)),
                 counters,
             )
             .with_radix(radix);

@@ -19,10 +19,11 @@ use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
 use gesall_mapreduce::shuffle::SortSpillBuffer;
 use gesall_mapreduce::task::HashPartitioner;
-use gesall_mapreduce::Counters;
+use gesall_mapreduce::{Counters, SpillPool};
 use gesall_telemetry::BenchRecord;
 use std::hint::black_box;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn pseudo_dna(len: usize, seed: u64) -> Vec<u8> {
@@ -141,10 +142,12 @@ fn bench_spill_sort() -> Pair {
         .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i))
         .collect();
     let p = HashPartitioner;
+    let pool = Arc::new(SpillPool::new(2, 4));
     let run = |radix: bool| {
         time_ns(9, 5, || {
             let mut buf =
-                SortSpillBuffer::new(64 * 1024, 4, &p, false, Counters::new()).with_radix(radix);
+                SortSpillBuffer::new(64 * 1024, 4, &p, false, pool.clone(), Counters::new())
+                    .with_radix(radix);
             for &(k, v) in &records {
                 buf.emit(k, v);
             }

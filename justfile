@@ -29,6 +29,35 @@ bench-perf seed:
             --workload $w --seed {{seed}} --seconds 20 --trace 0; \
     done
 
+# Flake hunt: bench-smoke `n` times and the workspace tests `m` times,
+# then the failure count per target (and each failed test's name); exits
+# non-zero if any run failed. Slow — not part of CI.
+soak n="50" m="20":
+    #!/usr/bin/env bash
+    set -u
+    log=$(mktemp)
+    mkdir -p target/soak
+    cargo build --release --offline -q -p gesall-bench --bin experiments || exit 1
+    cargo test --offline --workspace --no-run -q || exit 1
+    smoke_failed=0
+    for i in $(seq 1 {{n}}); do
+        if ! cargo run --release --offline -q -p gesall-bench --bin experiments -- smoke target/soak > "$log" 2>&1; then
+            smoke_failed=$((smoke_failed + 1))
+            echo "bench-smoke run $i: $(grep -m1 'FAILED' "$log")"
+        fi
+    done
+    tests_failed=0
+    for i in $(seq 1 {{m}}); do
+        if ! cargo test -q --offline --workspace --no-fail-fast > "$log" 2>&1; then
+            tests_failed=$((tests_failed + 1))
+            echo "workspace tests run $i: $(grep -- '--- FAILED' "$log" | tr '\n' ' ')"
+        fi
+    done
+    rm -f "$log"
+    echo "bench-smoke: $smoke_failed of {{n}} runs failed"
+    echo "workspace tests: $tests_failed of {{m}} runs failed"
+    [ $((smoke_failed + tests_failed)) -eq 0 ]
+
 # Fast inner-loop check.
 check:
     cargo check --offline --workspace --all-targets
