@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks of the performance-critical substrate
 //! components: FM-index construction/search, the block codec, the
 //! shuffle sort-spill-merge path, MarkDuplicates key machinery, bloom
-//! filters, and pileup construction.
+//! filters, pileup construction, and a HaplotypeCaller size sweep.
 //!
 //! These complement the `experiments` binary (which regenerates the
 //! paper's tables/figures): the micro-benches measure OUR substrate so
 //! regressions in the hot paths are visible.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gesall_aligner::fm::FmIndex;
 use gesall_aligner::suffix::suffix_array;
 use gesall_aligner::sw::{local_align, Scoring};
@@ -19,8 +19,11 @@ use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::shuffle::{reduce_merge, Segment, SortSpillBuffer};
 use gesall_mapreduce::task::HashPartitioner;
 use gesall_mapreduce::SpillPool;
+use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
 use gesall_tools::pileup::{Pileup, PileupFilter};
+use gesall_tools::RefView;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn pseudo_dna(len: usize, seed: u64) -> Vec<u8> {
     let mut x = seed;
@@ -205,6 +208,67 @@ fn bench_pileup(c: &mut Criterion) {
     });
 }
 
+/// A chromosome of `n_reads` coordinate-sorted 100 bp reads, one every
+/// 10 bp (10x coverage), all carrying a hom SNP every 500 bp: the
+/// HaplotypeCaller opens a window per SNP, and the coverage stays the same
+/// whatever `n_reads` is.
+fn hc_chromosome(n_reads: usize) -> (Vec<Vec<u8>>, Vec<SamRecord>) {
+    let seq = pseudo_dna(10 * n_reads + 100, 11);
+    let records = (0..n_reads)
+        .map(|i| {
+            let pos = 1 + 10 * i as i64;
+            let mut bases = seq[(pos - 1) as usize..(pos + 99) as usize].to_vec();
+            for (off, b) in bases.iter_mut().enumerate() {
+                if (pos + off as i64) % 500 == 0 {
+                    *b = if *b == b'A' { b'C' } else { b'A' };
+                }
+            }
+            let mut r = SamRecord::unmapped(format!("read{i:07}"), bases, vec![35; 100]);
+            r.flags = Flags(0);
+            r.ref_id = 0;
+            r.pos = pos;
+            r.mapq = 60;
+            r.cigar = Cigar::full_match(100);
+            r
+        })
+        .collect();
+    (vec![seq], records)
+}
+
+/// HaplotypeCaller size sweep: the same coverage at N and 2N reads. The
+/// caller's cost per read should stay flat as the chromosome grows; a
+/// per-window scan of the whole partition would double it. Reports only.
+fn bench_hc_size_sweep(c: &mut Criterion) {
+    let cfg = HaplotypeCallerConfig::default();
+    let mut g = c.benchmark_group("hc/call_chromosome");
+    let mut ns_per_read = Vec::new();
+    for n in [10_000usize, 20_000] {
+        let (seqs, records) = hc_chromosome(n);
+        let rv = RefView::new(&seqs);
+        let run = || {
+            call_chromosome(&records, 0, "chr1", rv, &cfg)
+                .variants
+                .len()
+        };
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function(BenchmarkId::new("reads", n), |b| b.iter(run));
+        let reps = 3;
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            black_box(run());
+        }
+        ns_per_read.push((n, t0.elapsed().as_nanos() as f64 / (reps * n) as f64));
+    }
+    g.finish();
+    for (n, ns) in &ns_per_read {
+        println!("hc/call_chromosome: {ns:.0} ns/read at {n} reads");
+    }
+    println!(
+        "hc/call_chromosome: 2N/N per-read cost ratio {:.2} (1.0 = linear)",
+        ns_per_read[1].1 / ns_per_read[0].1
+    );
+}
+
 criterion_group!(
     benches,
     bench_suffix_array,
@@ -216,5 +280,6 @@ criterion_group!(
     bench_markdup_keys,
     bench_bloom,
     bench_pileup,
+    bench_hc_size_sweep,
 );
 criterion_main!(benches);

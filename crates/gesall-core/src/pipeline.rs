@@ -1209,14 +1209,7 @@ impl GesallPlatform {
             .flatten()
             .map(|(_, v)| v)
             .collect();
-        variants.sort_by(|a, b| {
-            (a.chrom.clone(), a.pos, a.ref_allele.clone(), a.alt_allele.clone()).cmp(&(
-                b.chrom.clone(),
-                b.pos,
-                b.ref_allele.clone(),
-                b.alt_allele.clone(),
-            ))
-        });
+        variants.sort_by(|a, b| a.site().cmp(&b.site()));
         Ok(variants)
     }
 }
@@ -1407,14 +1400,7 @@ pub fn serial_tail_from_markdup(
         let result = call_chromosome(&records, ref_id as i32, name, rv, hc);
         variants.extend(result.variants);
     }
-    variants.sort_by(|a, b| {
-        (a.chrom.clone(), a.pos, a.ref_allele.clone(), a.alt_allele.clone()).cmp(&(
-            b.chrom.clone(),
-            b.pos,
-            b.ref_allele.clone(),
-            b.alt_allele.clone(),
-        ))
-    });
+    variants.sort_by(|a, b| a.site().cmp(&b.site()));
     (records, variants)
 }
 

@@ -81,6 +81,12 @@ impl VariantRecord {
         )
     }
 
+    /// [`site_key`](Self::site_key) by reference: compares in the same
+    /// (chrom, pos, ref, alt) order without allocating.
+    pub fn site(&self) -> (&str, i64, &str, &str) {
+        (&self.chrom, self.pos, &self.ref_allele, &self.alt_allele)
+    }
+
     /// Classify the variant.
     pub fn kind(&self) -> VariantKind {
         use std::cmp::Ordering;

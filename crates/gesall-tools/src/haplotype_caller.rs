@@ -11,9 +11,9 @@
 //! depend on the sequential walk, so cutting the genome mid-walk can
 //! shift windows and flip borderline calls.
 
-use crate::pileup::Pileup;
+use crate::pileup::{Pileup, ReadSpans};
 use crate::refview::RefView;
-use crate::unified_genotyper::{call_region, GenotyperConfig};
+use crate::unified_genotyper::{genotype_region, GenotyperConfig};
 use gesall_formats::sam::SamRecord;
 use gesall_formats::vcf::VariantRecord;
 
@@ -161,8 +161,12 @@ pub struct HaplotypeCallerResult {
     pub windows: Vec<ActiveWindow>,
 }
 
-/// Run the caller over `[start, end]` of one chromosome. `records` must
-/// be coordinate-sorted reads of that chromosome (others are ignored).
+/// Run the caller over `[start, end]` of one chromosome. `records` may
+/// hold reads in any order; reads of other chromosomes are ignored. Every
+/// pileup, phase-1 tiles and phase-2 windows alike, takes its reads from
+/// one [`ReadSpans`] lookup built here, so coordinate-sorted input costs
+/// O(overlapping reads) per window rather than a scan of `records`.
+/// Unsorted input gets the same calls, only with wider scans.
 ///
 /// Running over sub-ranges of a chromosome is exactly the fine-grained
 /// partitioning the paper analyzes: windows near the cut differ from the
@@ -176,13 +180,42 @@ pub fn call_range(
     reference: RefView<'_>,
     cfg: &HaplotypeCallerConfig,
 ) -> HaplotypeCallerResult {
+    let spans = ReadSpans::new(records, ref_id);
+    walk_range(
+        |s, e| spans.overlapping(s, e),
+        ref_id,
+        chrom,
+        start,
+        end,
+        reference,
+        cfg,
+    )
+}
+
+/// [`call_range`] with every pileup built from `reads(start, end)`, which
+/// must hold every read the pileup filter can admit over `[start, end]`.
+fn walk_range<'r>(
+    reads: impl Fn(i64, i64) -> &'r [SamRecord],
+    ref_id: i32,
+    chrom: &str,
+    start: i64,
+    end: i64,
+    reference: RefView<'_>,
+    cfg: &HaplotypeCallerConfig,
+) -> HaplotypeCallerResult {
     assert!(start >= 1 && end >= start, "bad range");
     // Phase 1: sequential walk computing activity and segmentation.
     let mut walker = WindowWalker::new(cfg);
     let mut tile_start = start;
     while tile_start <= end {
         let tile_end = (tile_start + cfg.tile as i64 - 1).min(end);
-        let mut pileup = Pileup::build(records, ref_id, tile_start, tile_end, &cfg.genotyper.pileup);
+        let mut pileup = Pileup::build(
+            reads(tile_start, tile_end),
+            ref_id,
+            tile_start,
+            tile_end,
+            &cfg.genotyper.pileup,
+        );
         let ref_slice = reference.slice(ref_id, tile_start, tile_end);
         if ref_slice.len() == pileup.columns.len() {
             pileup.annotate_mismatches(ref_slice);
@@ -207,20 +240,19 @@ pub fn call_range(
         if w_end < w_start {
             continue;
         }
-        let calls = call_region(
-            records,
+        variants.extend(genotype_region(
+            &reads,
             ref_id,
             chrom,
             w_start,
             w_end,
             reference,
             &cfg.genotyper,
-        );
-        variants.extend(calls);
+        ));
     }
     // Adjacent windows can overlap after padding; dedup by site.
-    variants.sort_by_key(|v| (v.pos, v.ref_allele.clone(), v.alt_allele.clone()));
-    variants.dedup_by(|a, b| a.site_key() == b.site_key());
+    variants.sort_by(|a, b| a.site().cmp(&b.site()));
+    variants.dedup_by(|a, b| a.site() == b.site());
     HaplotypeCallerResult { variants, windows }
 }
 
@@ -245,8 +277,12 @@ pub fn call_chromosome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pileup::LOOKUPS;
+    use crate::random_reads::{random_reads, reference as two_chromosomes, CHROM_LEN};
+    use crate::unified_genotyper::call_region;
     use gesall_formats::sam::{Cigar, Flags};
     use gesall_formats::vcf::Genotype;
+    use proptest::prelude::*;
 
     fn read(name: &str, pos: i64, seq: &[u8]) -> SamRecord {
         let mut r = SamRecord::unmapped(name, seq.to_vec(), vec![35; seq.len()]);
@@ -397,5 +433,102 @@ mod tests {
             left.windows,
             right.windows
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn callers_equal_full_scan_reference(
+            seed in any::<u64>(),
+            cut in 1i64..CHROM_LEN as i64,
+            small_tiles in any::<bool>(),
+        ) {
+            // The full-scan reference: the same walk and genotyping with
+            // every pileup built over all of `records`.
+            let records = random_reads(seed);
+            let seqs = two_chromosomes();
+            let rv = RefView::new(&seqs);
+            let mut cfg = HaplotypeCallerConfig::default();
+            if small_tiles {
+                cfg.tile = 700;
+                cfg.genotyper.tile = 64;
+            }
+            let len = CHROM_LEN as i64;
+            for (start, end) in [(1, len), (1, cut), (cut, len)] {
+                let fast = call_range(&records, 0, "chr1", start, end, rv, &cfg);
+                let full = walk_range(|_, _| &records[..], 0, "chr1", start, end, rv, &cfg);
+                prop_assert_eq!(&fast.windows, &full.windows);
+                prop_assert_eq!(&fast.variants, &full.variants);
+                if (start, end) == (1, len) {
+                    // Every set plants carrier stacks on chromosome 0.
+                    prop_assert!(!full.variants.is_empty());
+                }
+            }
+            for ref_id in [0, 1] {
+                let fast = call_region(&records, ref_id, "chr", cut, len, rv, &cfg.genotyper);
+                let full = genotype_region(
+                    |_, _| &records[..],
+                    ref_id,
+                    "chr",
+                    cut,
+                    len,
+                    rv,
+                    &cfg.genotyper,
+                );
+                prop_assert_eq!(fast, full);
+            }
+        }
+    }
+
+    #[test]
+    fn pileups_read_only_reads_near_their_windows() {
+        // Coordinate-sorted 100 bp reads every 10 bp (10x coverage) with a
+        // hom SNP every 500 bp, so the walk opens a window per SNP. Every
+        // pileup (phase-1 tile or phase-2 window) must take its reads from
+        // the lookup, and the reads handed over must stay within 2x the
+        // (window, overlapping read) pairs. A whole-partition scan per
+        // window hands over ~100x more.
+        let seqs = reference(60_000);
+        let rv = RefView::new(&seqs);
+        let reads: Vec<SamRecord> = (0..5990)
+            .map(|k| {
+                let pos = 1 + 10 * k as i64;
+                let mut s = seqs[0][(pos - 1) as usize..(pos + 99) as usize].to_vec();
+                for (off, b) in s.iter_mut().enumerate() {
+                    if (pos + off as i64) % 500 == 0 {
+                        *b = if *b == b'A' { b'C' } else { b'A' };
+                    }
+                }
+                read(&format!("r{k}"), pos, &s)
+            })
+            .collect();
+        let cfg = HaplotypeCallerConfig::default();
+        LOOKUPS.with(|l| l.borrow_mut().clear());
+        let res = call_chromosome(&reads, 0, "chr1", rv, &cfg);
+        let lookups = LOOKUPS.with(|l| l.take());
+        assert!(res.windows.len() >= 100, "{} windows", res.windows.len());
+        assert!(res.variants.len() >= 100, "{} calls", res.variants.len());
+        let tiles = 60_000usize.div_ceil(cfg.tile);
+        assert_eq!(
+            lookups.len(),
+            tiles + res.windows.len(),
+            "every tile and window pileup goes through the lookup"
+        );
+        let handed: usize = lookups.iter().map(|&(_, _, n)| n).sum();
+        let pairs: usize = lookups
+            .iter()
+            .map(|&(s, e, _)| {
+                reads
+                    .iter()
+                    .filter(|r| r.pos <= e && r.end_pos() >= s)
+                    .count()
+            })
+            .sum();
+        assert!(
+            handed <= 2 * pairs,
+            "{handed} reads handed to pileups for {pairs} (window, read) pairs"
+        );
+        assert!(lookups.len() * reads.len() > 20 * handed);
     }
 }

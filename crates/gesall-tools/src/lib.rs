@@ -35,4 +35,8 @@ pub mod sv_caller;
 pub mod unified_genotyper;
 pub mod vcf_metrics;
 
+#[cfg(test)]
+#[path = "../tests/support/random_reads.rs"]
+mod random_reads;
+
 pub use refview::RefView;

@@ -1,5 +1,6 @@
 //! Pileup: per-reference-position summaries of the reads covering it —
-//! the substrate both variant callers walk.
+//! the substrate both variant callers walk — and [`ReadSpans`], the
+//! lookup that hands each pileup only the reads near its window.
 
 use gesall_formats::sam::cigar::CigarOp;
 use gesall_formats::sam::SamRecord;
@@ -14,7 +15,7 @@ pub enum IndelAllele {
 }
 
 /// Everything observed at one 1-based reference position.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PileupColumn {
     /// Aligned base counts indexed A,C,G,T.
     pub base_counts: [u32; 4],
@@ -235,6 +236,80 @@ impl Pileup {
             col.mismatches = total - col.count_of(rb);
         }
     }
+}
+
+/// Where the reads of one chromosome lie, so that a pileup over a short
+/// window visits the reads near it rather than the whole input. The
+/// callers build one per run and take every pileup's reads from it.
+pub struct ReadSpans<'r> {
+    records: &'r [SamRecord],
+    /// `(pos, end_pos, index into records)` of every primary mapped read
+    /// on the chromosome, sorted by `pos`.
+    spans: Vec<(i64, i64, usize)>,
+    /// The longest `end_pos - pos` among `spans` (at least 0).
+    max_span: i64,
+}
+
+impl<'r> ReadSpans<'r> {
+    /// Index the primary mapped reads of `records` on `ref_id`. Costs one
+    /// pass plus a sort, which is linear for coordinate-sorted input.
+    pub fn new(records: &'r [SamRecord], ref_id: i32) -> ReadSpans<'r> {
+        let mut spans: Vec<(i64, i64, usize)> = records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_mapped() && r.ref_id == ref_id && r.flags.is_primary())
+            .map(|(i, r)| (r.pos, r.end_pos(), i))
+            .collect();
+        spans.sort_by_key(|s| s.0);
+        let max_span = spans
+            .iter()
+            .map(|&(pos, end, _)| end - pos)
+            .max()
+            .unwrap_or(0)
+            .max(0);
+        ReadSpans {
+            records,
+            spans,
+            max_span,
+        }
+    }
+
+    /// The smallest run of `records`, in input order, that holds every read
+    /// [`Pileup::build`] can admit for `[start, end]`: the primary mapped
+    /// reads of the chromosome with `pos <= end` and `end_pos >= start`.
+    /// Reads between them that the filter rejects ride along, so
+    /// `Pileup::build` over the run equals `Pileup::build` over all of
+    /// `records`, column for column. For coordinate-sorted input the run
+    /// is about the reads overlapping the window; unsorted input only
+    /// widens it.
+    pub fn overlapping(&self, start: i64, end: i64) -> &'r [SamRecord] {
+        let lo = self.spans.partition_point(|s| s.0 < start - self.max_span);
+        let hi = self.spans.partition_point(|s| s.0 <= end);
+        let mut first = usize::MAX;
+        let mut last = 0;
+        for &(_, read_end, i) in &self.spans[lo..hi] {
+            if read_end >= start {
+                first = first.min(i);
+                last = last.max(i);
+            }
+        }
+        let run: &'r [SamRecord] = if first > last {
+            &[]
+        } else {
+            &self.records[first..=last]
+        };
+        #[cfg(test)]
+        LOOKUPS.with(|l| l.borrow_mut().push((start, end, run.len())));
+        run
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `(start, end, run length)` of every [`ReadSpans::overlapping`] call
+    /// on this thread: the callers' work-bound tests read it.
+    pub(crate) static LOOKUPS: std::cell::RefCell<Vec<(i64, i64, usize)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 fn add_indel(col: &mut PileupColumn, allele: IndelAllele) {

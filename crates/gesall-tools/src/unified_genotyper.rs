@@ -5,7 +5,7 @@
 //! partitioning by chromosome** (§3.2): each chromosome's reads can be
 //! genotyped independently.
 
-use crate::pileup::{IndelAllele, Pileup, PileupColumn, PileupFilter};
+use crate::pileup::{IndelAllele, Pileup, PileupColumn, PileupFilter, ReadSpans};
 use crate::refview::RefView;
 use gesall_formats::vcf::{Genotype, VariantRecord};
 use gesall_formats::sam::SamRecord;
@@ -278,10 +278,37 @@ fn call_indel(
 }
 
 /// Genotype one region `[start, end]` (1-based inclusive) of one
-/// chromosome. `records` should be the reads overlapping the region
-/// (extra reads are ignored by the pileup).
+/// chromosome. `records` may hold reads in any order and from anywhere:
+/// each tile's pileup reads only the run [`ReadSpans::overlapping`]
+/// picks, so coordinate-sorted input costs about the reads overlapping
+/// the region.
 pub fn call_region(
     records: &[SamRecord],
+    ref_id: i32,
+    chrom: &str,
+    start: i64,
+    end: i64,
+    reference: RefView<'_>,
+    cfg: &GenotyperConfig,
+) -> Vec<VariantRecord> {
+    let spans = ReadSpans::new(records, ref_id);
+    genotype_region(
+        |s, e| spans.overlapping(s, e),
+        ref_id,
+        chrom,
+        start,
+        end,
+        reference,
+        cfg,
+    )
+}
+
+/// [`call_region`] with each tile's pileup built from `reads(tile_start,
+/// tile_end)`, which must hold every read the pileup filter can admit
+/// there. The HaplotypeCaller passes its own lookup to genotype its
+/// windows without re-indexing the chromosome per window.
+pub(crate) fn genotype_region<'r>(
+    reads: impl Fn(i64, i64) -> &'r [SamRecord],
     ref_id: i32,
     chrom: &str,
     start: i64,
@@ -293,7 +320,13 @@ pub fn call_region(
     let mut tile_start = start;
     while tile_start <= end {
         let tile_end = (tile_start + cfg.tile as i64 - 1).min(end);
-        let pileup = Pileup::build(records, ref_id, tile_start, tile_end, &cfg.pileup);
+        let pileup = Pileup::build(
+            reads(tile_start, tile_end),
+            ref_id,
+            tile_start,
+            tile_end,
+            &cfg.pileup,
+        );
         for (off, col) in pileup.columns.iter().enumerate() {
             let pos = tile_start + off as i64;
             let Some(ref_base) = reference.base(ref_id, pos) else {

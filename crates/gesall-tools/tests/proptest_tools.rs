@@ -1,14 +1,19 @@
 //! Property-based tests of the analysis tools' semantic invariants.
 
+#[path = "support/random_reads.rs"]
+mod random_reads;
+
 use gesall_formats::sam::cigar::Cigar;
 use gesall_formats::sam::{Flags, SamHeader, SamRecord};
 use gesall_tools::clean_sam::clean_sam;
 use gesall_tools::fix_mate::fix_mate_information;
 use gesall_tools::haplotype_caller::{call_range, HaplotypeCallerConfig};
 use gesall_tools::mark_duplicates::{mark_duplicates, pair_key};
+use gesall_tools::pileup::{Pileup, PileupFilter, ReadSpans};
 use gesall_tools::refview::RefView;
 use gesall_tools::sort_sam::{is_coordinate_sorted, sort_sam};
 use proptest::prelude::*;
+use random_reads::{random_reads, CHROM_LEN};
 use std::collections::HashMap;
 
 /// A random mapped paired read.
@@ -228,5 +233,70 @@ proptest! {
         }
         // Windows are emitted in order.
         prop_assert!(res.windows.windows(2).all(|p| p[0].start <= p[1].start));
+    }
+
+    #[test]
+    fn read_span_lookup_pileups_equal_full_scan(
+        seed in any::<u64>(),
+        windows in proptest::collection::vec(
+            (0u8..3, 0usize..1000, 1i64..CHROM_LEN as i64 + 300, 1i64..700),
+            1..16,
+        ),
+        lenient in any::<bool>(),
+    ) {
+        // For random windows, and windows that start where a read ends or
+        // end where one starts, the lookup's run of reads holds every read
+        // the pileup filter can admit, starts and ends on such reads, and
+        // builds the same columns as a scan of every record.
+        let records = random_reads(seed);
+        let windows: Vec<(i64, i64)> = windows
+            .iter()
+            .map(|&(kind, read, start, len)| {
+                let r = &records[read % records.len()];
+                match kind {
+                    0 => (start, len),
+                    1 => (r.end_pos().max(1), len),
+                    _ => ((r.pos - len + 1).max(1), len),
+                }
+            })
+            .collect();
+        let filter = if lenient {
+            PileupFilter { min_mapq: 0, min_base_qual: 0, include_duplicates: true }
+        } else {
+            PileupFilter::default()
+        };
+        for ref_id in [0, 1] {
+            let spans = ReadSpans::new(&records, ref_id);
+            for &(start, len) in &windows {
+                let end = start + len - 1;
+                let run = spans.overlapping(start, end);
+                let admissible = |r: &SamRecord| {
+                    r.is_mapped()
+                        && r.ref_id == ref_id
+                        && r.flags.is_primary()
+                        && r.pos <= end
+                        && r.end_pos() >= start
+                };
+                let offset = run
+                    .first()
+                    .and_then(|first| records.iter().position(|r| std::ptr::eq(r, first)))
+                    .unwrap_or(0);
+                for (i, r) in records.iter().enumerate() {
+                    if admissible(r) {
+                        prop_assert!(
+                            (offset..offset + run.len()).contains(&i),
+                            "read {} outside run {}..{} for [{}, {}]",
+                            i, offset, offset + run.len(), start, end
+                        );
+                    }
+                }
+                if let (Some(first), Some(last)) = (run.first(), run.last()) {
+                    prop_assert!(admissible(first) && admissible(last));
+                }
+                let full = Pileup::build(&records, ref_id, start, end, &filter);
+                let fast = Pileup::build(run, ref_id, start, end, &filter);
+                prop_assert_eq!(fast.columns, full.columns);
+            }
+        }
     }
 }

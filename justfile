@@ -29,6 +29,24 @@ bench-perf seed:
             --workload $w --seed {{seed}} --seconds 20 --trace 0; \
     done
 
+# Output byte identity: generate a dataset from `seed`, run the
+# HaplotypeCaller pipeline over it and the serial HaplotypeCaller over the
+# pipeline's BAM, then print the SHA-256 of the BAM and both VCFs. Run at
+# two commits and compare the digests. Files go to target/golden/<seed>.
+golden seed:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release --offline -q --bin gesall-cli
+    cli=target/release/gesall-cli
+    d=target/golden/{{seed}}
+    rm -rf "$d"
+    $cli generate --out-dir "$d/data" --pairs 8000 --chrom-len 200000,100000 --seed {{seed}} > /dev/null
+    $cli pipeline --reference "$d/data/reference.fa" --r1 "$d/data/reads_1.fastq" \
+        --r2 "$d/data/reads_2.fastq" --out-dir "$d/pipeline" --caller hc > /dev/null
+    $cli call --reference "$d/data/reference.fa" --bam "$d/pipeline/aligned.sorted.bam" \
+        --out "$d/call.vcf" --caller hc > /dev/null
+    cd "$d" && sha256sum pipeline/aligned.sorted.bam pipeline/variants.vcf call.vcf
+
 # Flake hunt: bench-smoke `n` times and the workspace tests `m` times,
 # then the failure count per target (and each failed test's name); exits
 # non-zero if any run failed. Slow — not part of CI.
