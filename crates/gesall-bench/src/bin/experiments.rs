@@ -13,6 +13,10 @@
 //! shuffle-matrix reports, and appends a record to `BENCH_smoke.json`
 //! in `out_dir` (default `.`). Exits nonzero if any phase timing is
 //! missing — the telemetry CI gate.
+//!
+//! `experiments -- micro [out_dir]` times the bit-parallel aligner
+//! kernels against their scalar twins and every compressed shuffle
+//! codec, then appends a record to `BENCH_micro.json` in `out_dir`.
 
 use gesall_bench::real_experiments::{self, ExperimentWorld, Scale};
 use gesall_bench::sim_experiments as sim;
@@ -69,15 +73,15 @@ const SIM_IDS: &[&str] = &[
 ];
 const REAL_IDS: &[&str] = &["fig6a", "table8", "fig11", "table9_10", "substrate"];
 
-fn run_smoke(out_dir: &str) -> ! {
-    eprintln!("[smoke] running tiny traced pipeline (records land in {out_dir})...");
-    match gesall_bench::smoke::run_smoke(Some(std::path::Path::new(out_dir))) {
-        Ok(outcome) => {
-            println!("{}", outcome.report);
+/// Print a harness's report and exit 0, or its error and exit 1.
+fn finish(tag: &str, result: Result<String, String>) -> ! {
+    match result {
+        Ok(report) => {
+            println!("{report}");
             std::process::exit(0);
         }
         Err(e) => {
-            eprintln!("[smoke] FAILED: {e}");
+            eprintln!("[{tag}] FAILED: {e}");
             std::process::exit(1);
         }
     }
@@ -86,13 +90,24 @@ fn run_smoke(out_dir: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: experiments <id|all|sim|real|smoke> ...");
+        eprintln!("usage: experiments <id|all|sim|real|smoke|micro> ...");
         eprintln!("sim ids:  {SIM_IDS:?}");
         eprintln!("real ids: {REAL_IDS:?}");
         std::process::exit(2);
     }
+    let out_dir = std::path::Path::new(args.get(1).map(String::as_str).unwrap_or("."));
     if args[0] == "smoke" {
-        run_smoke(args.get(1).map(String::as_str).unwrap_or("."));
+        eprintln!(
+            "[smoke] running tiny traced pipeline (records land in {})...",
+            out_dir.display()
+        );
+        finish(
+            "smoke",
+            gesall_bench::smoke::run_smoke(Some(out_dir)).map(|o| o.report),
+        );
+    }
+    if args[0] == "micro" {
+        finish("micro", gesall_bench::micro::run_micro(out_dir));
     }
     let mut reals: Vec<&str> = Vec::new();
     for arg in &args {

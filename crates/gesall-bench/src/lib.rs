@@ -15,10 +15,13 @@
 //! Plus [`smoke`] — the tiny traced end-to-end run behind
 //! `just bench-smoke`, which emits `BENCH_smoke.json` and fails if any
 //! of the six phase timings is missing.
+//! And [`micro`] — the kernel and codec microbenches behind
+//! `just bench-micro`, which append to `BENCH_micro.json`.
 //!
 //! Run everything with `cargo run -p gesall-bench --release --bin
 //! experiments -- all`.
 
+pub mod micro;
 pub mod real_experiments;
 pub mod report;
 pub mod sim_experiments;

@@ -75,7 +75,7 @@ pub const JOBSVC_CONCURRENCY_SLOWDOWN: f64 = 1.8;
 pub const JOBSVC_CONCURRENCY_GRACE_MS: f64 = 100.0;
 
 /// Required Map-phase speedup of the kernel run over its scalar twin
-/// (same pipeline, every bit-parallel kernel switched off via config).
+/// (same pipeline, both aligner kernels switched off on its `Aligner`).
 /// The twin runs on a fresh platform so the DAG cache cannot serve it;
 /// outputs must be byte-identical — the kernels are exact, so the only
 /// thing allowed to change is time.
@@ -822,9 +822,9 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     // the same simulated-read shuffle.
     let codec = shuffle_codec_probe()?;
 
-    // Kernel twin: the identical cold pipeline with every bit-parallel
-    // kernel (packed rank, banded SW, radix spill sort) switched off via
-    // config, on a *fresh* platform — the DAG cache lives on the
+    // Kernel twin: the identical cold pipeline with both bit-parallel
+    // aligner kernels (packed rank, banded SW) switched off on its
+    // `Aligner`, on a *fresh* platform — the DAG cache lives on the
     // platform's DFS, so a fresh DFS keeps the twin cache-cold and its
     // Map phase honestly re-executed. Output must match the kernel run
     // byte for byte; the only permitted difference is time.
@@ -844,14 +844,6 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         .get(gesall_telemetry::kernel_keys::SW_FULL_FALLBACKS)
         .copied()
         .unwrap_or(0);
-    let kernel_radix_passes = agg
-        .get(gesall_telemetry::kernel_keys::SORT_RADIX_PASSES)
-        .copied()
-        .unwrap_or(0);
-    let kernel_comparison_fallbacks = agg
-        .get(gesall_telemetry::kernel_keys::SORT_COMPARISON_FALLBACKS)
-        .copied()
-        .unwrap_or(0);
     let mut scalar_aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
     scalar_aligner.set_kernels(false);
     let scalar_platform = GesallPlatform::new(
@@ -867,7 +859,6 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
             n_reducers: scale.n_partitions,
             io_sort_bytes,
             merge_factor,
-            kernels: false,
             ..PlatformConfig::default()
         },
     );
@@ -1001,14 +992,6 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         (
             "kernel_sw_full_fallbacks".into(),
             kernel_full_fallbacks.to_string(),
-        ),
-        (
-            "kernel_sort_radix_passes".into(),
-            kernel_radix_passes.to_string(),
-        ),
-        (
-            "kernel_sort_comparison_fallbacks".into(),
-            kernel_comparison_fallbacks.to_string(),
         ),
     ];
     record.config = vec![
@@ -1165,8 +1148,8 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     }
     // Kernel gates: the banded SW must have answered real extensions
     // inside the band (a zeroed counter means the fast path silently
-    // fell back everywhere), the packed rank and radix sort must have
-    // engaged, and the kernel run's Map phase must beat the scalar twin
+    // fell back everywhere), the packed rank must have engaged, and the
+    // kernel run's Map phase must beat the scalar twin
     // by the required factor. Output equality was already enforced when
     // the twin finished.
     if kernel_banded_hits == 0 {
@@ -1180,13 +1163,6 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         return Err(
             "kernel gate: packed-BWT rank popcounted zero words — \
              occ is running the scalar path despite kernels being on"
-                .into(),
-        );
-    }
-    if kernel_radix_passes + kernel_comparison_fallbacks == 0 {
-        return Err(
-            "kernel gate: the radix spill sort never engaged — \
-             spills are using the comparison sort despite kernels being on"
                 .into(),
         );
     }
@@ -1280,8 +1256,7 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     text.push_str(&format!(
         "Kernels: Map phase {:.1} ms vs {:.1} ms scalar twin ({kernel_map_speedup:.2}x); \
          {kernel_occ_words} occ words popcounted, {kernel_banded_hits} banded SW hits \
-         / {kernel_full_fallbacks} full fallbacks, {kernel_radix_passes} radix passes \
-         / {kernel_comparison_fallbacks} comparison fallbacks\n",
+         / {kernel_full_fallbacks} full fallbacks\n",
         phase_map_nanos as f64 / 1e6,
         phase_map_scalar_nanos as f64 / 1e6
     ));

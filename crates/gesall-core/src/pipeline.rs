@@ -190,19 +190,10 @@ pub struct PlatformConfig {
     pub caller: CallerChoice,
     /// Round-5 partitioning scheme for the HaplotypeCaller.
     pub hc_partitioning: HcPartitioning,
-    /// Sort buffer / merge factor / compression for the MR jobs.
+    /// Sort buffer / merge factor for the MR jobs; map-output
+    /// compression keeps the [`JobConfig`] defaults.
     pub io_sort_bytes: usize,
     pub merge_factor: usize,
-    pub compress_map_output: bool,
-    /// Smallest raw partition payload worth compressing.
-    pub compress_min_bytes: usize,
-    /// Enable the bit-parallel map-phase kernels (DESIGN.md §5) in the
-    /// MR jobs this platform launches — today that is the radix spill
-    /// sort. Off is the scalar-twin benchmark configuration; results
-    /// are byte-identical either way. The aligner-side kernels (packed
-    /// rank, banded SW) live on the `Aligner` the caller passes in —
-    /// flip them with [`gesall_aligner::Aligner::set_kernels`].
-    pub kernels: bool,
     pub seed: u64,
     pub read_group: ReadGroup,
     pub hc: HaplotypeCallerConfig,
@@ -223,9 +214,6 @@ impl Default for PlatformConfig {
             hc_partitioning: HcPartitioning::Chromosome,
             io_sort_bytes: 8 * 1024 * 1024,
             merge_factor: 10,
-            compress_map_output: true,
-            compress_min_bytes: gesall_mapreduce::shuffle::COMPRESS_MIN_BYTES,
-            kernels: true,
             seed: 0x6765_7361_6c6c_0001,
             read_group: ReadGroup::new("rg1", "sample1"),
             hc: HaplotypeCallerConfig::default(),
@@ -414,9 +402,6 @@ impl GesallPlatform {
             n_reducers,
             io_sort_bytes: self.config.io_sort_bytes,
             merge_factor: self.config.merge_factor,
-            compress_map_output: self.config.compress_map_output,
-            compress_min_bytes: self.config.compress_min_bytes,
-            radix_sort: self.config.kernels,
             parent_span: parent,
             slot_lease: opts.slot_lease.clone(),
             shuffle_namespace: opts.namespace.clone(),

@@ -157,17 +157,6 @@ pub trait Wire: Sized {
         buf
     }
 
-    /// A `u64` whose unsigned order is consistent with the type's `Ord`:
-    /// `a < b` implies `a.sort_prefix() <= b.sort_prefix()`. The radix
-    /// spill sort orders records by this prefix and only falls back to
-    /// full comparison inside equal-prefix runs, so a discriminating
-    /// prefix makes the sort near-linear while the default (constant 0)
-    /// merely degenerates to the comparison path — never to a wrong
-    /// order.
-    fn sort_prefix(&self) -> u64 {
-        0
-    }
-
     /// Convenience: decode from a full buffer, requiring it be consumed.
     fn from_wire_bytes(data: &[u8]) -> Result<Self> {
         let mut cur = Cursor::new(data);
@@ -192,9 +181,6 @@ impl Wire for u64 {
     fn encoded_len(&self) -> usize {
         varint_len(*self)
     }
-    fn sort_prefix(&self) -> u64 {
-        *self
-    }
 }
 
 impl Wire for i64 {
@@ -209,11 +195,6 @@ impl Wire for i64 {
     fn encoded_len(&self) -> usize {
         varint_len(((*self << 1) ^ (*self >> 63)) as u64)
     }
-    fn sort_prefix(&self) -> u64 {
-        // Flip the sign bit: maps i64::MIN..=i64::MAX monotonically onto
-        // 0..=u64::MAX.
-        (*self as u64) ^ (1 << 63)
-    }
 }
 
 impl Wire for u32 {
@@ -227,20 +208,6 @@ impl Wire for u32 {
     fn encoded_len(&self) -> usize {
         varint_len(*self as u64)
     }
-    fn sort_prefix(&self) -> u64 {
-        *self as u64
-    }
-}
-
-/// First 8 bytes big-endian, zero-padded — consistent with
-/// lexicographic byte order: a shorter string padded with zeros never
-/// outranks one it is a prefix of.
-#[inline]
-fn bytes_sort_prefix(b: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = b.len().min(8);
-    buf[..n].copy_from_slice(&b[..n]);
-    u64::from_be_bytes(buf)
 }
 
 impl Wire for String {
@@ -253,9 +220,6 @@ impl Wire for String {
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
     }
-    fn sort_prefix(&self) -> u64 {
-        bytes_sort_prefix(self.as_bytes())
-    }
 }
 
 impl Wire for Vec<u8> {
@@ -267,9 +231,6 @@ impl Wire for Vec<u8> {
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
-    }
-    fn sort_prefix(&self) -> u64 {
-        bytes_sort_prefix(self)
     }
 }
 
@@ -295,11 +256,6 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
     }
     fn encoded_len(&self) -> usize {
         self.0.encoded_len() + self.1.encoded_len()
-    }
-    fn sort_prefix(&self) -> u64 {
-        // Lexicographic tuple order starts with `A`, so `A`'s prefix
-        // alone is order-consistent; `B` is resolved by the fallback.
-        self.0.sort_prefix()
     }
 }
 
@@ -405,41 +361,6 @@ mod tests {
         check(vec![0u8, 255, 3]);
         check(("key".to_string(), 42u64));
         check(vec![("a".to_string(), 1u64), ("bb".to_string(), 300)]);
-    }
-
-    #[test]
-    fn sort_prefix_is_order_consistent() {
-        fn check<T: Wire + Ord + Clone + std::fmt::Debug>(mut vals: Vec<T>) {
-            vals.sort();
-            for w in vals.windows(2) {
-                assert!(
-                    w[0].sort_prefix() <= w[1].sort_prefix(),
-                    "prefix order violated between {:?} and {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-        }
-        check(vec![0u64, 1, 255, 256, u64::MAX, 42, 1 << 40]);
-        check(vec![0i64, -1, 1, i64::MIN, i64::MAX, -255, 1 << 40]);
-        check(vec![0u32, 7, u32::MAX, 300]);
-        check(vec![
-            String::new(),
-            "a".into(),
-            "ab".into(),
-            "ab\0".into(),
-            "abcdefghij".into(),
-            "abcdefghiz".into(),
-            "z".into(),
-        ]);
-        check(vec![
-            Vec::<u8>::new(),
-            vec![0],
-            vec![0, 0],
-            vec![255u8; 12],
-            vec![1, 2, 3],
-        ]);
-        check(vec![(1u64, 9u64), (1, 10), (2, 0), (0, u64::MAX)]);
     }
 
     #[test]

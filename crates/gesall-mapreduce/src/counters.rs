@@ -125,12 +125,11 @@ pub mod keys {
     /// with nothing to do (the old busy-poll, now counted).
     pub const SCHED_IDLE_TIMEOUTS: &str = "sched.idle.timeouts";
     /// Bit-parallel kernel telemetry (DESIGN.md §5): packed-rank words
-    /// popcounted, banded-SW hits/fallbacks, radix passes. Re-exported so
-    /// engine code reads kernel counters from the same keys module as
-    /// everything else.
+    /// popcounted, banded-SW hits/fallbacks. Re-exported so engine code
+    /// reads kernel counters from the same keys module as everything
+    /// else.
     pub use gesall_telemetry::kernel_keys::{
-        OCC_WORDS_POPCOUNTED, SORT_COMPARISON_FALLBACKS, SORT_RADIX_PASSES, SW_BANDED_HITS,
-        SW_FULL_FALLBACKS,
+        OCC_WORDS_POPCOUNTED, SW_BANDED_HITS, SW_FULL_FALLBACKS,
     };
 }
 

@@ -78,11 +78,6 @@ pub struct JobConfig {
     /// segment travels raw even with compression on (default
     /// [`COMPRESS_MIN_BYTES`]).
     pub compress_min_bytes: usize,
-    /// Sort spill batches with the radix kernel
-    /// ([`Wire::sort_prefix`](gesall_formats::wire::Wire::sort_prefix)-keyed
-    /// LSD radix, DESIGN.md §5) instead of the comparison sort. Output
-    /// is identical either way; off = the scalar-twin benchmark config.
-    pub radix_sort: bool,
     pub map_vcores: usize,
     pub map_memory_mb: usize,
     pub reduce_vcores: usize,
@@ -134,7 +129,6 @@ impl Default for JobConfig {
             merge_factor: 10,
             compress_map_output: true,
             compress_min_bytes: COMPRESS_MIN_BYTES,
-            radix_sort: true,
             map_vcores: 1,
             map_memory_mb: 1024,
             reduce_vcores: 1,
@@ -501,8 +495,7 @@ impl MapReduceEngine {
                     bag.clone(),
                 )
                 .with_min_compress_bytes(config.compress_min_bytes)
-                .with_codec(config.shuffle_codec)
-                .with_radix(config.radix_sort);
+                .with_codec(config.shuffle_codec);
                 {
                     let mut sink = |k: M::OutKey, v: M::OutValue| buf.emit(k, v);
                     let mut ctx = MapContext { sink: &mut sink };

@@ -21,10 +21,8 @@ use crate::spillpool::SpillPool;
 use crate::task::Partitioner;
 use gesall_formats::wire::{put_u64, Cursor, Wire};
 use gesall_formats::{Codec, FormatError, SharedBytes};
-use gesall_telemetry::{kernel_keys, Phase};
+use gesall_telemetry::Phase;
 use parking_lot::{Condvar, Mutex};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -323,7 +321,7 @@ impl<K: Ord> LoserTree<K> {
 
 /// Stable k-way merge of sorted runs by key (ties broken by run order,
 /// then intra-run order — deterministic). Runs on the [`LoserTree`]
-/// kernel; [`merge_runs_heap`] is the binary-heap twin it is pinned to.
+/// kernel; the proptests pin it to an independent binary-heap merge.
 pub fn merge_runs<K: Wire + Ord + Clone, V: Wire>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
@@ -357,37 +355,6 @@ pub fn merge_runs<K: Wire + Ord + Clone, V: Wire>(runs: Vec<Vec<(K, V)>>) -> Vec
             .replace_winner(i, next)
             .expect("winner leaf holds a key");
         out.push((k, v));
-    }
-    out
-}
-
-/// The binary-heap twin of [`merge_runs`], retained as its order oracle
-/// (and as the merge under [`reduce_merge_materialized`], keeping that
-/// oracle fully independent of the loser-tree kernel).
-pub fn merge_runs_heap<K: Wire + Ord + Clone, V: Wire>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of (key, run_idx) → pop smallest; stability from run_idx order.
-    let mut iters: Vec<std::vec::IntoIter<(K, V)>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
-    let mut heads: Vec<Option<V>> = Vec::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        match it.next() {
-            Some((k, v)) => {
-                heap.push(Reverse((k, i)));
-                heads.push(Some(v));
-            }
-            None => heads.push(None),
-        }
-    }
-    while let Some(Reverse((k, i))) = heap.pop() {
-        let v = heads[i].take().expect("head value present for popped run");
-        out.push((k, v));
-        if let Some((nk, nv)) = iters[i].next() {
-            heap.push(Reverse((nk, i)));
-            heads[i] = Some(nv);
-        }
     }
     out
 }
@@ -447,126 +414,10 @@ impl SpillArena {
     }
 }
 
-/// Runs shorter than this skip the radix machinery — a stable
-/// comparison sort wins outright on tiny inputs.
-const RADIX_MIN_RUN: usize = 64;
-
-/// LSD radix sort of one partition's run, stable, keyed on
-/// [`Wire::sort_prefix`] (DESIGN.md §5). The permutation is computed
-/// over 16-byte `(prefix, index)` items — the typed pairs move exactly
-/// once, at the end — and constant prefix bytes skip their pass
-/// entirely. Because `sort_prefix` is order-consistent
-/// (`k₁ < k₂ ⇒ prefix(k₁) ≤ prefix(k₂)`), equal-prefix items end up
-/// contiguous; each such tie run that isn't already key-ordered gets a
-/// stable comparison sort, so the final order — including stability
-/// across equal keys — is exactly `sort_by(key)`'s. Types that keep the
-/// default prefix of 0 degenerate to one big tie run (correct, just not
-/// faster). Returns (radix passes executed, comparison fallbacks).
-fn radix_sort_run<K: Wire + Ord, V: Wire>(run: &mut Vec<(K, V)>) -> (u64, u64) {
-    let n = run.len();
-    if n <= 1 {
-        return (0, 0);
-    }
-    if n < RADIX_MIN_RUN {
-        run.sort_by(|a, b| a.0.cmp(&b.0));
-        return (0, 1);
-    }
-    let mut items: Vec<(u64, u32)> = run
-        .iter()
-        .enumerate()
-        .map(|(i, (k, _))| (k.sort_prefix(), i as u32))
-        .collect();
-    let mut scratch: Vec<(u64, u32)> = vec![(0, 0); n];
-    let mut passes = 0u64;
-    for byte in 0..8 {
-        let shift = byte * 8;
-        let mut counts = [0usize; 256];
-        for &(p, _) in &items {
-            counts[((p >> shift) & 0xff) as usize] += 1;
-        }
-        if counts.contains(&n) {
-            continue; // constant byte — this pass would be the identity
-        }
-        passes += 1;
-        let mut offsets = [0usize; 256];
-        let mut acc = 0usize;
-        for (o, &c) in offsets.iter_mut().zip(&counts) {
-            *o = acc;
-            acc += c;
-        }
-        for &(p, i) in &items {
-            let b = ((p >> shift) & 0xff) as usize;
-            scratch[offsets[b]] = (p, i);
-            offsets[b] += 1;
-        }
-        std::mem::swap(&mut items, &mut scratch);
-    }
-    // Move the typed pairs into prefix order (their one move).
-    let mut src: Vec<Option<(K, V)>> = run.drain(..).map(Some).collect();
-    run.extend(
-        items
-            .iter()
-            .map(|&(_, i)| src[i as usize].take().expect("permutation visits each index once")),
-    );
-    // Settle equal-prefix tie runs with a stable comparison sort.
-    let mut fallbacks = 0u64;
-    let mut start = 0usize;
-    while start < n {
-        let prefix = items[start].0;
-        let mut end = start + 1;
-        while end < n && items[end].0 == prefix {
-            end += 1;
-        }
-        if end - start > 1 && run[start..end].windows(2).any(|w| w[0].0 > w[1].0) {
-            run[start..end].sort_by(|a, b| a.0.cmp(&b.0));
-            fallbacks += 1;
-        }
-        start = end;
-    }
-    (passes, fallbacks)
-}
-
 /// Sort a spill batch by (partition, key) and bucket it into one sorted
 /// run per partition — the unit of work a spill encoder executes. The
-/// radix path buckets by partition with a stable counting scatter, then
-/// radix-sorts each run ([`radix_sort_run`]); pass/fallback activity
-/// lands on the `kernel.sort.*` counters.
+/// sort is stable, so equal keys keep their emission order.
 fn sort_and_bucket<K: Wire + Ord, V: Wire>(
-    batch: Vec<(usize, K, V)>,
-    n_partitions: usize,
-    radix: bool,
-    counters: &Counters,
-) -> Vec<Vec<(K, V)>> {
-    if !radix {
-        return sort_and_bucket_comparison(batch, n_partitions);
-    }
-    let mut counts = vec![0usize; n_partitions];
-    for (p, _, _) in &batch {
-        counts[*p] += 1;
-    }
-    let mut runs: Vec<Vec<(K, V)>> = counts.into_iter().map(Vec::with_capacity).collect();
-    for (p, k, v) in batch {
-        runs[p].push((k, v));
-    }
-    let mut passes = 0u64;
-    let mut fallbacks = 0u64;
-    for run in &mut runs {
-        let (p, f) = radix_sort_run(run);
-        passes += p;
-        fallbacks += f;
-    }
-    if passes > 0 {
-        counters.add(kernel_keys::SORT_RADIX_PASSES, passes);
-    }
-    if fallbacks > 0 {
-        counters.add(kernel_keys::SORT_COMPARISON_FALLBACKS, fallbacks);
-    }
-    runs
-}
-
-/// The comparison-sort twin of [`sort_and_bucket`] — the oracle the
-/// radix path is pinned to (identical runs for any batch, proptested).
-fn sort_and_bucket_comparison<K: Wire + Ord, V: Wire>(
     mut batch: Vec<(usize, K, V)>,
     n_partitions: usize,
 ) -> Vec<Vec<(K, V)>> {
@@ -601,8 +452,6 @@ pub struct SortSpillBuffer<'a, K: Wire + Ord + Clone, V: Wire> {
     pool: Arc<SpillPool>,
     slots: Arc<SpillSlots<K, V>>,
     counters: Counters,
-    /// Radix-sort spill batches (default); off = comparison-sort twin.
-    radix: bool,
 }
 
 impl<'a, K, V> SortSpillBuffer<'a, K, V>
@@ -634,16 +483,7 @@ where
                 done: Condvar::new(),
             }),
             counters,
-            radix: true,
         }
-    }
-
-    /// Choose the spill-sort kernel: radix on [`Wire::sort_prefix`]
-    /// (default) or the comparison-sort twin. Output is identical either
-    /// way; only speed changes.
-    pub fn with_radix(mut self, radix: bool) -> Self {
-        self.radix = radix;
-        self
     }
 
     /// Override the compression threshold (the `JobConfig` knob).
@@ -691,12 +531,11 @@ where
         };
         self.counters.add(keys::SPILL_POOL_JOBS, 1);
         let n = self.n_partitions;
-        let radix = self.radix;
         let slots = self.slots.clone();
         let counters = self.counters.clone();
         self.pool.submit(Box::new(move || {
             let t0 = Instant::now();
-            let runs = sort_and_bucket(batch, n, radix, &counters);
+            let runs = sort_and_bucket(batch, n);
             counters.add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
             let mut filled = slots.filled.lock();
             filled[idx] = Some(runs);
@@ -948,8 +787,8 @@ impl<K: Wire + Ord + Clone, V: Wire> RunCursor<K, V> {
 /// [`merge_runs`] (ties break by cursor index, then intra-run order).
 /// At most one head record per cursor is typed-resident at any moment.
 /// Runs on the [`LoserTree`] kernel; the byte-identity proptest against
-/// [`reduce_merge_materialized`] (whose merge is the heap twin) pins the
-/// order down.
+/// a materializing, binary-heap reduce merge (the engine tests' oracle)
+/// pins the order down.
 fn merge_streams<K: Wire + Ord + Clone, V: Wire>(
     mut cursors: Vec<RunCursor<K, V>>,
     arena: &mut SpillArena,
@@ -1008,8 +847,8 @@ fn merge_streams<K: Wire + Ord + Clone, V: Wire>(
 /// under [`keys::REDUCE_MERGE_BYTES`] exactly as before) and queue it as
 /// storage-layer bytes. The decoded-side peak lands on
 /// [`keys::REDUCE_PEAK_RESIDENT`]; see [`ResidentGauge`] for what
-/// counts. Output is byte-identical to [`reduce_merge_materialized`],
-/// which the equivalence proptest pins down.
+/// counts. Output is byte-identical to a materializing reduce merge that
+/// decodes every run up front; the equivalence proptest pins it down.
 pub fn reduce_merge<K: Wire + Ord + Clone, V: Wire>(
     segments: Vec<Segment>,
     merge_factor: usize,
@@ -1153,41 +992,6 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
     out
 }
 
-/// The pre-streaming reduce merge: decode every segment into typed
-/// pairs up front, then multipass-merge the materialized runs. Retained
-/// as the equivalence oracle for [`reduce_merge`] — the streaming path
-/// must produce byte-identical grouped output (same keys, same value
-/// order) for any segment set, codec mix, and `merge_factor`.
-pub fn reduce_merge_materialized<K: Wire + Ord + Clone, V: Wire>(
-    segments: Vec<Segment>,
-    merge_factor: usize,
-    counters: &Counters,
-) -> Vec<(K, Vec<V>)> {
-    let merge_factor = merge_factor.max(2);
-    let mut runs: std::collections::VecDeque<Vec<(K, V)>> = segments
-        .iter()
-        .filter(|s| s.records > 0)
-        .map(|s| s.to_pairs())
-        .collect();
-    while runs.len() > merge_factor {
-        let take = merge_factor.min(runs.len());
-        let batch: Vec<Vec<(K, V)>> = (0..take).map(|_| runs.pop_front().unwrap()).collect();
-        let merged = merge_runs_heap(batch);
-        counters.add(keys::REDUCE_MERGE_PASSES, 1);
-        runs.push_back(merged);
-    }
-    let merged = merge_runs_heap(runs.into_iter().collect());
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for (k, v) in merged {
-        match out.last_mut() {
-            Some((lk, vs)) if *lk == k => vs.push(v),
-            _ => out.push((k, vec![v])),
-        }
-    }
-    counters.add(keys::REDUCE_INPUT_GROUPS, out.len() as u64);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1294,90 +1098,6 @@ mod tests {
         assert!(merged.is_empty());
         let merged: Vec<(u64, u64)> = merge_runs(vec![vec![], vec![(1, 2)], vec![]]);
         assert_eq!(merged, vec![(1, 2)]);
-    }
-
-    #[test]
-    fn loser_tree_merge_matches_heap_oracle() {
-        // Deterministic pseudo-random runs, duplicate-heavy keys, varied
-        // run counts (1, power-of-two, odd): loser tree == heap, always.
-        let mut x = 42u64;
-        let mut rand = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for n_runs in [1usize, 2, 3, 7, 8, 13] {
-            let runs: Vec<Vec<(u64, u64)>> = (0..n_runs)
-                .map(|r| {
-                    let len = (rand() % 40) as usize;
-                    let mut run: Vec<(u64, u64)> =
-                        (0..len).map(|i| (rand() % 10, (r * 1000 + i) as u64)).collect();
-                    run.sort_by_key(|&(k, _)| k);
-                    run
-                })
-                .collect();
-            assert_eq!(
-                merge_runs(runs.clone()),
-                merge_runs_heap(runs),
-                "n_runs={n_runs}"
-            );
-        }
-    }
-
-    #[test]
-    fn radix_sort_matches_comparison_twin() {
-        let mut x = 99u64;
-        let mut rand = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        let counters = Counters::new();
-        // String keys exercise the 8-byte-prefix + tie-run path; shared
-        // long prefixes force comparison fallbacks past byte 8.
-        let batch: Vec<(usize, String, u64)> = (0..500)
-            .map(|i| {
-                let p = (rand() % 3) as usize;
-                let k = format!("shared-prefix-{:06}", rand() % 120);
-                (p, k, i)
-            })
-            .collect();
-        let fast = sort_and_bucket(batch.clone(), 3, true, &counters);
-        let slow = sort_and_bucket_comparison(batch, 3);
-        assert_eq!(fast, slow);
-        assert!(counters.get(kernel_keys::SORT_COMPARISON_FALLBACKS) > 0);
-
-        // u64 keys: prefix IS the key — passes run, no unsorted tie runs.
-        let counters = Counters::new();
-        let batch: Vec<(usize, u64, u64)> = (0..500)
-            .map(|i| ((rand() % 2) as usize, rand() % 100_000, i))
-            .collect();
-        let fast = sort_and_bucket(batch.clone(), 2, true, &counters);
-        let slow = sort_and_bucket_comparison(batch, 2);
-        assert_eq!(fast, slow);
-        assert!(counters.get(kernel_keys::SORT_RADIX_PASSES) > 0);
-        assert_eq!(counters.get(kernel_keys::SORT_COMPARISON_FALLBACKS), 0);
-    }
-
-    #[test]
-    fn radix_sort_run_edge_cases() {
-        // Empty and singleton runs cost nothing.
-        let mut run: Vec<(u64, u64)> = vec![];
-        assert_eq!(radix_sort_run(&mut run), (0, 0));
-        let mut run = vec![(5u64, 0u64)];
-        assert_eq!(radix_sort_run(&mut run), (0, 0));
-        // All-equal keys: stability preserves emission order, no
-        // fallback sort is spent on an already-ordered tie run.
-        let mut run: Vec<(u64, u64)> = (0..200).map(|i| (7u64, i)).collect();
-        let (_, fallbacks) = radix_sort_run(&mut run);
-        assert_eq!(fallbacks, 0);
-        assert_eq!(run, (0..200).map(|i| (7u64, i)).collect::<Vec<_>>());
-        // Signed keys cross the negative/positive boundary correctly.
-        let mut run: Vec<(i64, u64)> = (0..200i64)
-            .map(|i| (if i % 2 == 0 { -i } else { i }, i as u64))
-            .collect();
-        let mut expect = run.clone();
-        radix_sort_run(&mut run);
-        expect.sort_by_key(|a| a.0);
-        assert_eq!(run, expect);
     }
 
     #[test]

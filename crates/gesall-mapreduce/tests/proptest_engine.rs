@@ -3,17 +3,20 @@
 //! buffer size, and compression — only then can the platform claim
 //! "same program, parallel execution".
 
+mod support;
+
+use gesall_formats::wire::Wire;
 use gesall_formats::{Codec, SharedBytes};
 use gesall_mapreduce::shuffle::{
-    merge_runs, merge_runs_heap, read_frame, reduce_merge, reduce_merge_materialized, write_frame,
-    CodecPolicy, Segment,
+    merge_runs, read_frame, reduce_merge, write_frame, CodecPolicy, Segment, SortSpillBuffer,
 };
 use gesall_mapreduce::{
-    ClusterResources, HashPartitioner, InputSplit, JobConfig, MapContext, MapReduceEngine, Mapper,
-    ReduceContext, Reducer, SpillPool,
+    ClusterResources, Counters, HashPartitioner, InputSplit, JobConfig, MapContext,
+    MapReduceEngine, Mapper, ReduceContext, Reducer, SpillPool,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::{merge_runs_heap, reduce_merge_materialized, spill_sort_oracle};
 
 struct KeyMod(u64);
 impl Mapper for KeyMod {
@@ -370,16 +373,13 @@ proptest! {
             })
             .collect();
         let total_records: u64 = segments.iter().map(|s| s.records).sum();
-        let c_stream = gesall_mapreduce::Counters::new();
-        let c_oracle = gesall_mapreduce::Counters::new();
+        let c_stream = Counters::new();
         let streaming =
             reduce_merge::<u64, u64>(segments.clone(), merge_factor, &c_stream);
-        let materialized =
-            reduce_merge_materialized::<u64, u64>(segments, merge_factor, &c_oracle);
+        let materialized = reduce_merge_materialized::<u64, u64>(segments, merge_factor);
         prop_assert_eq!(streaming, materialized);
         // The streaming path keeps the shuffle accounting intact.
         prop_assert_eq!(c_stream.get("shuffle.records"), total_records);
-        let _ = &c_oracle;
         // The streaming path reports its residency peak whenever it
         // actually held records.
         if total_records > 0 {
@@ -389,9 +389,34 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Bit-parallel spill kernels (DESIGN.md §5): the radix spill sort and
-// the loser-tree merge, each pinned to its comparison twin on arbitrary
-// inputs.
+// Map-side sort and merge kernels: the spill sort and the loser-tree
+// merge, each pinned to an independent oracle on arbitrary inputs.
+
+/// Emit `records` through a sort buffer of `io_sort_bytes` and decode
+/// the finished segments back into one run per partition.
+fn spill_sort<K, V>(
+    records: &[(K, V)],
+    n_partitions: usize,
+    io_sort_bytes: usize,
+) -> Vec<Vec<(K, V)>>
+where
+    K: Wire + Ord + Clone + Send + 'static,
+    V: Wire + Clone + Send + 'static,
+{
+    let p = HashPartitioner;
+    let mut buf = SortSpillBuffer::new(
+        io_sort_bytes,
+        n_partitions,
+        &p,
+        false,
+        Arc::new(SpillPool::new(2, 4)),
+        Counters::new(),
+    );
+    for (k, v) in records.iter().cloned() {
+        buf.emit(k, v);
+    }
+    buf.finish().iter().map(|s| s.to_pairs::<K, V>()).collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -400,11 +425,12 @@ proptest! {
     fn loser_tree_merge_matches_heap(
         runs in proptest::collection::vec(
             proptest::collection::vec((0u64..64, any::<u64>()), 0..40),
-            0..12,
+            0..14,
         ),
     ) {
         // Narrow key range forces heavy duplication, so the stable
-        // tie-break (lower run index first) is exercised constantly.
+        // tie-break (lower run index first) is exercised constantly; the
+        // run count spans 1, powers of two and odd fan-ins up to 13.
         let sorted: Vec<Vec<(u64, u64)>> = runs
             .into_iter()
             .map(|mut r| { r.sort_by_key(|a| a.0); r })
@@ -422,8 +448,7 @@ proptest! {
             1..9,
         ),
     ) {
-        // Shared-prefix string keys: the first-8-bytes sort prefix ties
-        // everywhere and the Ord fallback decides.
+        // Shared-prefix string keys: only a late byte tells keys apart.
         let sorted: Vec<Vec<(String, u64)>> = runs
             .into_iter()
             .map(|r| {
@@ -442,62 +467,35 @@ proptest! {
     }
 
     #[test]
-    fn radix_spill_sort_matches_comparison_twin(
-        records in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..400),
+    fn spill_sort_matches_stable_sort_oracle(
+        records in proptest::collection::vec((0u64..24, any::<u64>()), 0..400),
         n_partitions in 1usize..6,
-        io_sort_bytes in 64usize..4096,
+        io_sort_bytes in 16usize..4096,
     ) {
-        // The same emission stream through both spill-sort kernels must
-        // produce identical segments, spill pattern and all.
-        let p = HashPartitioner;
-        let run = |radix: bool| -> Vec<Vec<(u64, u64)>> {
-            let counters = gesall_mapreduce::Counters::new();
-            let mut buf = gesall_mapreduce::shuffle::SortSpillBuffer::new(
-                io_sort_bytes,
-                n_partitions,
-                &p,
-                false,
-                Arc::new(SpillPool::new(2, 4)),
-                counters,
-            )
-            .with_radix(radix);
-            for &(k, v) in &records {
-                buf.emit(k, v);
-            }
-            buf.finish().iter().map(|s| s.to_pairs::<u64, u64>()).collect()
-        };
-        prop_assert_eq!(run(true), run(false));
+        // A small key range makes equal keys carry different values, so
+        // a spill sort that loses emission order among equal keys — or
+        // a merge that reorders spills — shows up as a value mismatch.
+        prop_assert_eq!(
+            spill_sort(&records, n_partitions, io_sort_bytes),
+            spill_sort_oracle(&records, n_partitions, &HashPartitioner)
+        );
     }
 
     #[test]
-    fn radix_spill_sort_matches_comparison_twin_on_strings(
-        records in proptest::collection::vec((0u32..200, any::<u64>()), 0..300),
+    fn spill_sort_matches_stable_sort_oracle_on_strings(
+        records in proptest::collection::vec((0u32..120, any::<u64>()), 0..300),
         n_partitions in 1usize..5,
+        io_sort_bytes in 64usize..2048,
     ) {
-        // String keys with a long shared prefix: every sort prefix ties,
-        // so the radix path must lean entirely on its comparison
-        // fallback and still match the twin record for record.
-        let p = HashPartitioner;
+        // String keys with a long shared prefix: order is decided past
+        // the first 16 bytes.
         let keyed: Vec<(String, u64)> = records
             .into_iter()
             .map(|(k, v)| (format!("sample-0001-read-{k:06}"), v))
             .collect();
-        let run = |radix: bool| -> Vec<Vec<(String, u64)>> {
-            let counters = gesall_mapreduce::Counters::new();
-            let mut buf = gesall_mapreduce::shuffle::SortSpillBuffer::new(
-                512,
-                n_partitions,
-                &p,
-                false,
-                Arc::new(SpillPool::new(2, 4)),
-                counters,
-            )
-            .with_radix(radix);
-            for (k, v) in keyed.iter().cloned() {
-                buf.emit(k, v);
-            }
-            buf.finish().iter().map(|s| s.to_pairs::<String, u64>()).collect()
-        };
-        prop_assert_eq!(run(true), run(false));
+        prop_assert_eq!(
+            spill_sort(&keyed, n_partitions, io_sort_bytes),
+            spill_sort_oracle(&keyed, n_partitions, &HashPartitioner)
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Bit-parallel kernel metrics: the well-known counter names the
-//! map-phase kernels (packed-BWT rank, banded Smith–Waterman, radix
-//! spill sort) report their activity under.
+//! map-phase kernels (packed-BWT rank, banded Smith–Waterman) report
+//! their activity under.
 //!
 //! The kernels are exact — each is pinned to its scalar oracle by
 //! proptests — so these counters exist to prove the fast path actually
@@ -20,12 +20,6 @@ pub mod keys {
     /// Seed extensions whose banded best path touched a band edge and
     /// were re-run through the full DP for exactness.
     pub const SW_FULL_FALLBACKS: &str = "kernel.sw.full_fallbacks";
-    /// LSD radix passes executed by the spill sort (constant-byte passes
-    /// are skipped and not counted).
-    pub const SORT_RADIX_PASSES: &str = "kernel.sort.radix_passes";
-    /// Equal-prefix runs the radix sort resolved with the comparison
-    /// fallback.
-    pub const SORT_COMPARISON_FALLBACKS: &str = "kernel.sort.comparison_fallbacks";
 }
 
 /// Kernel activity pulled out of a counter snapshot — the numbers the
@@ -35,8 +29,6 @@ pub struct KernelStats {
     pub occ_words_popcounted: u64,
     pub sw_banded_hits: u64,
     pub sw_full_fallbacks: u64,
-    pub sort_radix_passes: u64,
-    pub sort_comparison_fallbacks: u64,
 }
 
 impl KernelStats {
@@ -53,8 +45,6 @@ impl KernelStats {
             occ_words_popcounted: get(keys::OCC_WORDS_POPCOUNTED),
             sw_banded_hits: get(keys::SW_BANDED_HITS),
             sw_full_fallbacks: get(keys::SW_FULL_FALLBACKS),
-            sort_radix_passes: get(keys::SORT_RADIX_PASSES),
-            sort_comparison_fallbacks: get(keys::SORT_COMPARISON_FALLBACKS),
         }
     }
 
@@ -79,15 +69,12 @@ mod tests {
             ("kernel.occ.words_popcounted".to_string(), 1000u64),
             ("kernel.sw.banded_hits".to_string(), 90),
             ("kernel.sw.full_fallbacks".to_string(), 10),
-            ("kernel.sort.radix_passes".to_string(), 24),
             ("unrelated".to_string(), 7),
         ];
         let k = KernelStats::from_snapshot(&snap);
         assert_eq!(k.occ_words_popcounted, 1000);
         assert_eq!(k.sw_banded_hits, 90);
         assert_eq!(k.sw_full_fallbacks, 10);
-        assert_eq!(k.sort_radix_passes, 24);
-        assert_eq!(k.sort_comparison_fallbacks, 0);
         assert!((k.banded_hit_ratio() - 0.9).abs() < 1e-12);
     }
 

@@ -14,11 +14,12 @@ smoke:
 bench-smoke:
     cargo run --release --offline -p gesall-bench --bin experiments -- smoke .
 
-# Kernel microbenches: each bit-parallel map-phase kernel (packed rank,
-# banded SW, radix spill sort) timed against its scalar twin; appends a
-# record to BENCH_micro.json next to bench-smoke's.
+# Microbenches: each bit-parallel aligner kernel (packed rank, banded
+# SW) timed against its scalar twin, plus every compressed shuffle codec
+# on datagen reads; appends a record to BENCH_micro.json next to
+# bench-smoke's.
 bench-micro:
-    cargo run --release --offline -p gesall-microbench -- .
+    cargo run --release --offline -p gesall-bench --bin experiments -- micro .
 
 # The BENCHMARK.json benchmark: every workload once at `seed`, 20 s
 # each. The last stdout line of each run is its JSON result; per-run

@@ -298,13 +298,11 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
     if k != gesall::telemetry::KernelStats::default() {
         println!(
             "Kernels: {} occ words popcounted; banded SW {}/{} in-band \
-             ({:.0}% hit rate); {} radix passes, {} comparison fallbacks",
+             ({:.0}% hit rate)",
             k.occ_words_popcounted,
             k.sw_banded_hits,
             k.sw_banded_hits + k.sw_full_fallbacks,
-            k.banded_hit_ratio() * 100.0,
-            k.sort_radix_passes,
-            k.sort_comparison_fallbacks
+            k.banded_hit_ratio() * 100.0
         );
     }
     // --dag prints the stage-graph view of the same run: per-stage
